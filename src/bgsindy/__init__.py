@@ -27,7 +27,7 @@ from .differentiation import (
 )
 from .library import Library, LibrarySpec, TermDescriptor, build_library, reduce_independent, render_term
 from .regression import FitResult, least_squares, residual
-from .pruner import PrunerConfig, discover, importance, prune_step
+from .pruner import PrunerConfig, discover, importance
 from .baselines import stlsq, train_stridge
 from .metrics import coefficient_error, relative_l2, structure_match
 from .simulate import (

@@ -55,18 +55,18 @@ class TermDescriptor:
     def name(self) -> str:
         return render_term(self)
 
-    def evaluate(self, field_values: dict, deriv_values: dict) -> np.ndarray:
-        """Pointwise term value from per-field arrays and derivative arrays."""
+    def evaluate(self, powers: dict, deriv_values: dict) -> np.ndarray:
+        """Pointwise term value from per-field power tables (`power_tables`)
+        and derivative arrays. The result may be one of the input arrays."""
         out = None
         for f, p in self.powers:
-            v = field_values[f] ** p
+            v = powers[f][p - 1]
             out = v if out is None else out * v
         if self.deriv is not None:
             d = deriv_values[self.deriv]
             out = d if out is None else out * d
         if out is None:
-            base = next(iter(field_values.values()))
-            out = np.ones_like(base)
+            out = np.ones_like(next(iter(powers.values()))[0])
         return out
 
     def to_json_dict(self) -> dict:
@@ -82,6 +82,33 @@ class TermDescriptor:
         if d.get("deriv"):
             deriv = (d["deriv"]["field"], tuple(d["deriv"]["orders"]))
         return TermDescriptor(powers, deriv)
+
+
+def power_table(values, degree: int) -> list:
+    """[u, u^2, ..., u^degree] by repeated products; entry p - 1 holds u^p.
+
+    `u ** p` with p > 2 goes through pow() and costs tens of times a
+    product; u^2 by product is bit-identical to `u ** 2`, higher powers agree
+    to round-off.
+    """
+    table = [values]
+    for _ in range(degree - 1):
+        table.append(table[-1] * values)
+    return table
+
+
+def power_degrees(terms) -> dict:
+    """Per field, the highest exponent any of the terms needs."""
+    degrees = {}
+    for t in terms:
+        for f, p in t.powers:
+            degrees[f] = max(degrees.get(f, 1), p)
+    return degrees
+
+
+def power_tables(fields: dict, degrees: dict) -> dict:
+    """Per field, the power table up to its degree (`power_degrees`)."""
+    return {f: power_table(v, degrees.get(f, 1)) for f, v in fields.items()}
 
 
 def render_term(term: TermDescriptor) -> str:
@@ -133,15 +160,47 @@ class LibrarySpec:
 
 
 @dataclass(frozen=True)
+class LibraryFactor:
+    """Column-pivoted QR of a library, matrix[:, piv] = Q r, kept as r and
+    qty = Q^T target. Q itself is never formed.
+
+    r is min(N, M) x M and upper triangular. Least squares over any subset
+    of columns reduces to the same subset of r's columns against qty, and
+    the singular values of r are those of the matrix.
+    """
+    r: np.ndarray
+    qty: np.ndarray
+    piv: np.ndarray
+
+    @staticmethod
+    def of(matrix: np.ndarray, target: np.ndarray) -> "LibraryFactor":
+        qty, r, piv = scipy.linalg.qr_multiply(matrix, target, mode="right",
+                                               pivoting=True)
+        return LibraryFactor(r, qty, piv)
+
+    def columns(self) -> np.ndarray:
+        """r with its columns in library order: matrix = Q columns()."""
+        return self.r[:, np.argsort(self.piv)]
+
+    def leading(self, rank: int) -> "LibraryFactor":
+        """Factor of the library reduced to the columns piv[:rank], kept in
+        library order: matrix[:, piv[:rank]] = Q[:, :rank] r[:rank, :rank]."""
+        lead = self.piv[:rank]
+        return LibraryFactor(self.r[:rank, :rank], self.qty[:rank],
+                             np.searchsorted(np.sort(lead), lead))
+
+
+@dataclass(frozen=True)
 class Library:
     terms: tuple[TermDescriptor, ...]
     matrix: np.ndarray            # N x M
     target: np.ndarray            # N
     sample_set: SampleSet
     target_field: str
-    singular_values: np.ndarray
     spec: LibrarySpec
     diagnostics: dict = field(default_factory=dict)
+    _factor: LibraryFactor | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.matrix.shape[1] != len(self.terms):
@@ -150,6 +209,14 @@ class Library:
             raise DatasetError("matrix rows must match target length")
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.target).all()):
             raise DatasetError("library contains non-finite entries")
+
+    @property
+    def factor(self) -> LibraryFactor:
+        """The library's one tall factorization: handed over by
+        `reduce_independent` from its own, or computed on first use."""
+        if self._factor is None:
+            object.__setattr__(self, "_factor", LibraryFactor.of(self.matrix, self.target))
+        return self._factor
 
     @property
     def n_samples(self) -> int:
@@ -272,13 +339,14 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
 
     diagnostics = {}
     if spec.test_function_degree is None:
-        sampled_fields = {f: dataset.fields[f].ravel()[idx] for f in names}
+        powers = power_tables({f: dataset.fields[f].ravel()[idx] for f in names},
+                              power_degrees(terms))
         sampled_derivs = {}
         for key in needed:
             fname, orders = key
             full = _space_derivative(dataset, fname, orders, spec)
             sampled_derivs[key] = full.ravel()[idx]
-        cols = [t.evaluate(sampled_fields, sampled_derivs) for t in terms]
+        cols = [t.evaluate(powers, sampled_derivs) for t in terms]
         target = time_target().ravel()[idx]
     else:
         if half_widths is None:
@@ -295,38 +363,38 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
             return bump_filter(full, half_widths, spec.test_function_degree,
                                periodic)[inner]
 
-        fields = {f: dataset.fields[f] for f in names}
+        powers = power_tables({f: dataset.fields[f] for f in names}, power_degrees(terms))
         derivs = {key: _space_derivative(dataset, *key, spec) for key in needed}
-        cols = [rows(t.evaluate(fields, derivs)) for t in terms]
+        cols = [rows(t.evaluate(powers, derivs)) for t in terms]
         target = rows(time_target())
         diagnostics["test_function"] = {"degree": spec.test_function_degree,
                                         "half_widths": [int(m) for m in half_widths]}
 
-    matrix = np.column_stack(cols)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    return Library(tuple(terms), matrix, target, sample_set, target_field, sv, spec,
-                   diagnostics)
+    return Library(tuple(terms), np.column_stack(cols), target, sample_set, target_field,
+                   spec, diagnostics)
 
 
 def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
     """Drop columns until a maximal numerically independent subset remains.
 
     Pivoted-QR diagonals below tol times the largest are treated as dependent;
-    the numerical rank is cross-checked against the SVD of the full matrix.
+    the numerical rank is cross-checked against the singular values of the
+    full matrix. The reduced library keeps the QR (`Library.factor`), so a
+    discovery factorizes its N x M matrix once.
     """
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
-    R, piv = scipy.linalg.qr(library.matrix, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
+    factor = library.factor
+    diag = np.abs(np.diag(factor.r))
     dmax = diag.max()
     if dmax == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
     rank = int((diag >= tol * dmax).sum())
     if rank == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
-    kept = np.sort(piv[:rank])
-    dropped = np.sort(piv[rank:])
-    sv = library.singular_values
+    kept = np.sort(factor.piv[:rank])
+    dropped = np.sort(factor.piv[rank:])
+    sv = np.linalg.svd(factor.r, compute_uv=False)
     svd_rank = int((sv >= tol * sv.max()).sum())
     diagnostics = dict(library.diagnostics)
     diagnostics["independence"] = {
@@ -336,9 +404,10 @@ def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
         "dropped": [library.terms[j].name for j in dropped],
     }
     if rank == library.n_terms:
-        return replace(library, diagnostics=diagnostics)
-    matrix = library.matrix[:, kept]
-    return Library(
-        tuple(library.terms[j] for j in kept), matrix, library.target,
-        library.sample_set, library.target_field,
-        np.linalg.svd(matrix, compute_uv=False), library.spec, diagnostics)
+        reduced = replace(library, diagnostics=diagnostics)
+    else:
+        reduced = Library(tuple(library.terms[j] for j in kept), library.matrix[:, kept],
+                          library.target, library.sample_set, library.target_field,
+                          library.spec, diagnostics)
+    object.__setattr__(reduced, "_factor", factor.leading(rank))
+    return reduced

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import DatasetError, DiscoveredModel, PruneIteration, PruneTrace
 from .library import Library
-from .regression import _svd_solve, least_squares
+from .regression import _svd_solve
 
 RES_FLOOR = 1e-30
 
@@ -44,84 +44,73 @@ def importance(phi_active: np.ndarray, xi: np.ndarray, epsilon: float | None = N
     w_ij = |phi_ij xi_j| / (max_l |phi_il xi_l| + eps), W_j = mean_i w_ij.
     Both lie in [0, 1]. With epsilon=None the stabilizer is relative to the
     largest contribution in the active set, which keeps the scores invariant
-    under paired column/coefficient rescaling.
+    under paired column/coefficient rescaling. The products phi_ij xi_j are
+    formed once; the row maxima and w come from them.
     """
-    phi_active = np.asarray(phi_active)
-    xi = np.asarray(xi)
+    phi_active = np.asarray(phi_active, dtype=np.float64)
+    xi = np.asarray(xi, dtype=np.float64)
     if xi.size == 0 or phi_active.ndim != 2 or phi_active.shape[1] != xi.size:
         raise DatasetError("importance needs an N x K matrix and K coefficients")
-    prod = np.abs(phi_active * xi[np.newaxis, :])
+    w = phi_active * xi[np.newaxis, :]
+    np.abs(w, out=w)
+    rowmax = w.max(axis=1)
     if epsilon is None:
-        gmax = prod.max()
+        gmax = rowmax.max()
         epsilon = epsilon_rel * gmax if gmax > 0 else 1.0
     if epsilon <= 0:
         raise DatasetError("epsilon must be > 0")
-    w = prod / (prod.max(axis=1, keepdims=True) + epsilon)
+    rowmax += epsilon
+    w /= rowmax[:, np.newaxis]
     return w, w.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class PruneState:
-    active: tuple[int, ...]
-    coefficients: np.ndarray
-    residual: float
-
-
-def initial_state(library: Library) -> PruneState:
-    fit = least_squares(library.matrix, library.target)
-    return PruneState(tuple(range(library.n_terms)), fit.coefficients, fit.residual)
-
-
-def _argmin_with_tie_break(W: np.ndarray, active: list[int]) -> int:
-    """Index into `active` of the minimal importance; ties remove the later term."""
-    wmin = W.min()
-    ties = np.flatnonzero(W == wmin)
+def _argmin_with_tie_break(W: np.ndarray) -> int:
+    """Position of the minimal importance; ties remove the later term."""
+    ties = np.flatnonzero(W == W.min())
     return int(ties[-1])   # library order is canonical order
 
 
-def prune_step(library: Library, state: PruneState,
-               config: PrunerConfig = PrunerConfig()) -> tuple[PruneState, int, np.ndarray]:
-    """Remove the least important active term and refit.
+class _ActiveSystem:
+    """The active columns of a library and the LS refits against them.
 
-    Returns the new state, the removed library term index, and the global
-    importances of the pre-removal active set.
+    The columns live in a column-major working copy that is compacted in
+    place when a term is dropped; `library.matrix` is never written. Refits
+    of a tall system (N > 2M) go through the library's QR (`Library.factor`),
+    which leaves solutions unchanged up to round-off. Residuals are always
+    evaluated directly on the full data; the compressed form condenses
+    large-magnitude rows and wobbles at the round-off floor.
     """
-    if len(state.active) < 2:
-        raise DatasetError("prune_step needs at least 2 active terms")
-    active = list(state.active)
-    _, W = importance(library.matrix[:, active], state.coefficients,
-                      config.epsilon, config.epsilon_rel)
-    j_loc = _argmin_with_tie_break(W, active)
-    removed = active.pop(j_loc)
-    fit = least_squares(library.matrix[:, active], library.target)
-    return PruneState(tuple(active), fit.coefficients, fit.residual), removed, W
-
-
-class _Solver:
-    """LS refits against a fixed library, through a one-time QR compression
-    (N x M -> M x M) when the system is tall, which leaves solutions unchanged
-    up to round-off. Residuals are always evaluated directly on the full data;
-    the compressed form condenses large-magnitude rows and wobbles at the
-    round-off floor."""
 
     def __init__(self, library: Library):
         n, m = library.matrix.shape
         self.n = n
-        self.phi = library.matrix
+        self.k = m
         self.y = library.target
-        self.compressed = n > 2 * m
-        if self.compressed:
-            q, r = np.linalg.qr(library.matrix)
-            self.r = r
-            self.c = q.T @ library.target
-
-    def fit(self, active: list[int]) -> tuple[np.ndarray, float]:
-        if self.compressed:
-            xi, _ = _svd_solve(self.r[:, active], self.c)
+        self.cols = np.array(library.matrix, order="F")
+        if n > 2 * m:
+            self.r = library.factor.columns()
+            self.qty = library.factor.qty
         else:
-            xi, _ = _svd_solve(self.phi[:, active], self.y)
-        misfit = self.phi[:, active] @ xi - self.y
-        return xi, float(misfit @ misfit) / self.n
+            self.r = None
+
+    def fit(self, active: list[int]) -> np.ndarray:
+        if self.r is not None:
+            xi, _ = _svd_solve(self.r[:, active], self.qty)
+        else:
+            xi, _ = _svd_solve(self.cols[:, :self.k], self.y)
+        return xi
+
+    def score(self, xi: np.ndarray, config: PrunerConfig) -> tuple[float, np.ndarray]:
+        """Residual and global importances of the active set at xi."""
+        phi = self.cols[:, :self.k]
+        misfit = phi @ xi - self.y
+        _, W = importance(phi, xi, config.epsilon, config.epsilon_rel)
+        return float(misfit @ misfit) / self.n, W
+
+    def drop(self, j: int) -> None:
+        for c in range(j, self.k - 1):
+            self.cols[:, c] = self.cols[:, c + 1]
+        self.k -= 1
 
 
 def _ratio_triggers(res_prev: float, res_next: float, tau: float) -> bool:
@@ -142,30 +131,27 @@ def discover(library: Library, config: PrunerConfig = PrunerConfig()
     """
     if library.n_terms < 1:
         raise DatasetError("empty library")
-    solver = _Solver(library)
+    system = _ActiveSystem(library)
     active = list(range(library.n_terms))
-    xi, res = solver.fit(active)
+    xi = system.fit(active)
+    res, W = system.score(xi, config)
     iterations: list[PruneIteration] = []
     selected: int | None = None
     while True:
-        _, W = importance(library.matrix[:, active], xi,
-                          config.epsilon, config.epsilon_rel)
         if len(active) <= config.min_terms:
             iterations.append(PruneIteration(tuple(active), xi, W, None, res))
             break
-        j_loc = _argmin_with_tie_break(W, active)
-        removed = active[j_loc]
-        iterations.append(PruneIteration(tuple(active), xi, W, removed, res))
-        new_active = active[:j_loc] + active[j_loc + 1:]
-        xi_new, res_new = solver.fit(new_active)
-        triggered = _ratio_triggers(res, res_new, config.tau)
-        active, xi, res = new_active, xi_new, res_new
-        if triggered and selected is None:
+        j = _argmin_with_tie_break(W)
+        iterations.append(PruneIteration(tuple(active), xi, W, active[j], res))
+        del active[j]
+        system.drop(j)
+        xi = system.fit(active)
+        res_prev = res
+        res, W = system.score(xi, config)
+        if _ratio_triggers(res_prev, res, config.tau) and selected is None:
             selected = len(iterations) - 1
             if not config.record_full_trace:
-                _, W_last = importance(library.matrix[:, active], xi,
-                                       config.epsilon, config.epsilon_rel)
-                iterations.append(PruneIteration(tuple(active), xi, W_last, None, res))
+                iterations.append(PruneIteration(tuple(active), xi, W, None, res))
                 break
 
     if selected is None:

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .core import Axis, Dataset, DatasetError, DiscoveredModel
 from .differentiation import fornberg_weights
-from .library import TermDescriptor
+from .library import TermDescriptor, power_degrees, power_table, power_tables
 
 BLOWUP_LIMIT = 1e6
 
@@ -148,16 +148,17 @@ def _ghost_matrix(n: int, dx: float, order: int, accuracy: int = 4) -> np.ndarra
 
 def _fd_rhs(terms, coefs, mats):
     def rhs(u):
-        fields = {"u": u}
+        powers = power_tables({"u": u}, degrees)
         derivs = {key: mats[key[1][0]] @ u for key in mats_keys}
         out = np.zeros_like(u)
         for t, c in zip(terms, coefs):
-            out += c * t.evaluate(fields, derivs)
+            out += c * t.evaluate(powers, derivs)
         out[0] = 0.0
         out[-1] = 0.0
         return out
 
     mats_keys = [t.deriv for t in terms if t.deriv is not None]
+    degrees = power_degrees(terms)
     return rhs
 
 
@@ -316,6 +317,13 @@ def solve_burgers_hyper(config: BenchmarkConfig | None = None) -> Dataset:
                    {"u": "periodic"}, meta)
 
 
+def _modified_ks_flux(u, eps):
+    """u^2/2 + eps (u^3 + u^4 + u^5 + u^6), whose x-derivative is the
+    modified-KS nonlinearity in conservative form."""
+    u2, u3, u4, u5, u6 = power_table(u, 6)[1:]
+    return 0.5 * u2 + eps * (u3 + u4 + u5 + u6)
+
+
 def solve_modified_ks(config: BenchmarkConfig | None = None) -> Dataset:
     """KS equation augmented with conservative small-coefficient nonlinearities.
 
@@ -336,8 +344,7 @@ def solve_modified_ks(config: BenchmarkConfig | None = None) -> Dataset:
 
     def nonlin(v):
         u = np.fft.irfft(v * mask, n=n)
-        s = 0.5 * u**2 + eps * (u**3 + u**4 + u**5 + u**6)
-        return -ik * (np.fft.rfft(s) * mask)
+        return -ik * (np.fft.rfft(_modified_ks_flux(u, eps)) * mask)
 
     u0 = np.cos(3 * two_pi * x) - 0.5 * np.sin(two_pi * x)
     n_out = _output_counts(config)
@@ -356,8 +363,10 @@ def rd2d_initial_condition(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _rd_reaction(u, v):
-    fu = u + 0.5 * v**3 - u * v**2 + 0.5 * u**2 * v - u**3
-    fv = v - v**3 - 0.5 * u * v**2 - u**2 * v - 0.5 * u**3
+    u, u2, u3 = power_table(u, 3)
+    v, v2, v3 = power_table(v, 3)
+    fu = u + 0.5 * v3 - u * v2 + 0.5 * u2 * v - u3
+    fv = v - v3 - 0.5 * u * v2 - u2 * v - 0.5 * u3
     return fu, fv
 
 
@@ -435,43 +444,47 @@ def _split_linear(model: DiscoveredModel, k: np.ndarray):
 
 
 def _spectral_term_rhs(models, k_list, masks, shapes):
-    """RHS evaluator for coupled periodic fields in rfft space."""
+    """RHS evaluator for coupled periodic fields in rfft space.
+
+    The derivative multipliers (ik)^o, odd orders with the Nyquist mode
+    zeroed, are built once here, per axis of each derivative factor.
+    """
     fields = [m.target_field for m in models]
+    terms = [t for m in models for t in m.terms]
+    degrees = power_degrees(terms)
+    multipliers = {}
+    for t in terms:
+        if t.deriv is None or t.deriv in multipliers:
+            continue
+        mults = []
+        for ax, o in enumerate(t.deriv[1]):
+            if o == 0:
+                continue
+            mult = (1j * k_list[ax]) ** o
+            if o % 2 == 1:
+                mult = _zero_nyquist(mult, ax, shapes)
+            mults.append(_broadcast(mult, ax, len(shapes)))
+        multipliers[t.deriv] = mults
 
-    def deriv_lookup(vs):
-        # all derivative factors appearing in any model, from masked spectra
-        out = {}
-        for m in models:
-            for t in m.terms:
-                if t.deriv is None or t.deriv in out:
-                    continue
-                fname, orders = t.deriv
-                v = vs[fields.index(fname)]
-                g = v
-                for ax, o in enumerate(orders):
-                    if o == 0:
-                        continue
-                    mult = (1j * k_list[ax]) ** o
-                    if o % 2 == 1:
-                        mult = _zero_nyquist(mult, ax, shapes)
-                    g = g * _broadcast(mult, ax, len(shapes))
-                out[t.deriv] = _irfft(g, shapes)
-        return out
-
-    def _irfft(g, shapes):
+    def _irfft(g):
         if len(shapes) == 1:
             return np.fft.irfft(g, n=shapes[0])
         return np.fft.irfft2(g, s=shapes)
 
     def rhs(vs):
         vs = [v * masks for v in vs]
-        real_fields = {f: _irfft(v, shapes) for f, v in zip(fields, vs)}
-        derivs = deriv_lookup(vs)
+        powers = power_tables({f: _irfft(v) for f, v in zip(fields, vs)}, degrees)
+        derivs = {}
+        for key, mults in multipliers.items():
+            g = vs[fields.index(key[0])]
+            for mult in mults:
+                g = g * mult
+            derivs[key] = _irfft(g)
         outs = []
         for m in models:
             acc = np.zeros(shapes)
             for t, c in zip(m.terms, m.coefficients):
-                acc = acc + c * t.evaluate(real_fields, derivs)
+                acc = acc + c * t.evaluate(powers, derivs)
             g = np.fft.rfft(acc) if len(shapes) == 1 else np.fft.rfft2(acc)
             outs.append(g * masks)
         return outs

@@ -30,7 +30,6 @@ def random_library(n=200, m=6, seed=0, term_names=None):
     total = ds.total_points
     samples = subsample(ds, min(n, total), "uniform-random", seed)
     return Library(terms, matrix, target, samples, "u",
-                   np.linalg.svd(matrix, compute_uv=False),
                    LibrarySpec(poly_degree=m, deriv_order=0))
 
 
@@ -193,8 +192,7 @@ class TestReduceIndependent:
         lib = random_library(m=4)
         matrix = np.column_stack([lib.matrix, lib.matrix[:, 1]])
         terms = lib.terms + (TermDescriptor((("u", 9),)),)
-        dup = Library(terms, matrix, lib.target, lib.sample_set, "u",
-                      np.linalg.svd(matrix, compute_uv=False), lib.spec)
+        dup = Library(terms, matrix, lib.target, lib.sample_set, "u", lib.spec)
         red = reduce_independent(dup)
         assert red.n_terms == 4
         assert red.diagnostics["independence"]["qr_rank"] == 4
@@ -207,7 +205,7 @@ class TestReduceIndependent:
         sv = np.linalg.svd(matrix, compute_uv=False)
         assert sv.min() / sv.max() < 1e-12          # SVD oracle agrees
         terms = lib.terms + (TermDescriptor((("u", 9),)),)
-        dep = Library(terms, matrix, lib.target, lib.sample_set, "u", sv, lib.spec)
+        dep = Library(terms, matrix, lib.target, lib.sample_set, "u", lib.spec)
         red = reduce_independent(dep)
         assert red.n_terms == 5
         assert red.diagnostics["independence"]["svd_rank"] == 5
@@ -222,8 +220,7 @@ class TestReduceIndependent:
         lib = random_library(m=5)
         matrix = np.column_stack([lib.matrix, lib.matrix[:, 2]])
         terms = lib.terms + (TermDescriptor((("u", 9),)),)
-        dup = Library(terms, matrix, lib.target, lib.sample_set, "u",
-                      np.linalg.svd(matrix, compute_uv=False), lib.spec)
+        dup = Library(terms, matrix, lib.target, lib.sample_set, "u", lib.spec)
         once = reduce_independent(dup)
         twice = reduce_independent(once)
         assert once.terms == twice.terms
@@ -232,6 +229,6 @@ class TestReduceIndependent:
     def test_degenerate_all_zero(self):
         lib = random_library(m=3)
         zero = Library(lib.terms[:3], np.zeros_like(lib.matrix[:, :3]), lib.target,
-                       lib.sample_set, "u", np.zeros(3), lib.spec)
+                       lib.sample_set, "u", lib.spec)
         with pytest.raises(DatasetError, match="degenerate"):
             reduce_independent(zero)

@@ -1,10 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bgsindy import (DatasetError, Library, LibrarySpec, PrunerConfig,
-                     TermDescriptor, discover, importance, prune_step)
-from bgsindy.pruner import PruneState, initial_state
-from tests.test_library import random_library
+                     TermDescriptor, discover, importance, least_squares)
 
 
 def synthetic_library(n=400, m=8, k_true=3, seed=0, noise=0.0):
@@ -20,7 +20,6 @@ def synthetic_library(n=400, m=8, k_true=3, seed=0, noise=0.0):
                  {"u": np.zeros((20, max(4, n // 20)))}, {"u": "periodic"})
     samples = subsample(ds, min(n, ds.total_points), "uniform-random", seed)
     return Library(terms, matrix, target, samples, "u",
-                   np.linalg.svd(matrix, compute_uv=False),
                    LibrarySpec(poly_degree=m, deriv_order=0)), true
 
 
@@ -63,36 +62,58 @@ class TestImportance:
             importance(np.ones((3, 0)), np.array([]))
 
 
-class TestPruneStep:
-    def test_zero_column_removed_first(self):
-        lib, _ = synthetic_library(m=4, k_true=4)
-        matrix = lib.matrix.copy()
-        matrix[:, 2] = 1e-300      # effectively dead column -> xi ~ 0
-        from dataclasses import replace
-        lib2 = replace(lib, matrix=matrix,
-                       singular_values=np.linalg.svd(matrix, compute_uv=False))
-        state = initial_state(lib2)
-        new_state, removed, W = prune_step(lib2, state)
-        assert removed == 2
-        assert new_state.residual >= state.residual - 1e-15
+def reference_prune(lib, config):
+    """Plain reference loop: gather the active columns, score them with
+    `importance`, drop the least important (ties: the later term), refit with
+    `least_squares`; then the residual-ratio selection rule."""
+    active = list(range(lib.n_terms))
+    fit = least_squares(lib.matrix[:, active], lib.target)
+    removed, residuals = [], [fit.residual]
+    while len(active) > config.min_terms:
+        _, W = importance(lib.matrix[:, active], fit.coefficients,
+                          config.epsilon, config.epsilon_rel)
+        removed.append(active.pop(int(np.flatnonzero(W == W.min())[-1])))
+        fit = least_squares(lib.matrix[:, active], lib.target)
+        residuals.append(fit.residual)
+    ratios = [b / a if a > 1e-30 else (np.inf if b > 1e-30 else 1.0)
+              for a, b in zip(residuals, residuals[1:])]
+    over = [i for i, r in enumerate(ratios) if r > config.tau]
+    selected = over[0] if over else int(np.argmax(ratios))
+    return removed, selected, np.array(residuals)
 
-    def test_needs_two_terms(self):
-        lib, _ = synthetic_library(m=3)
-        state = PruneState((1,), np.array([1.0]), 0.5)
-        with pytest.raises(DatasetError):
-            prune_step(lib, state)
 
-    def test_matches_discover_path(self):
-        # iterated prune_step reproduces discover's removal order exactly
-        lib, _ = synthetic_library(n=2000, m=10, k_true=3, noise=1e-4, seed=5)
-        model, trace = discover(lib, PrunerConfig(record_full_trace=True))
-        state = initial_state(lib)
-        removed_seq = []
-        while len(state.active) > 1:
-            state, removed, _ = prune_step(lib, state)
-            removed_seq.append(removed)
-        trace_removed = [it.removed for it in trace.iterations if it.removed is not None]
-        assert removed_seq == trace_removed
+class TestReferenceLoop:
+    def test_discover_matches_reference_on_60_libraries(self):
+        # tall (QR-compressed refits) and square-ish libraries, with dead
+        # columns: one, or two for an exact tie at W = 0
+        config = PrunerConfig(record_full_trace=True)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(3, 11))
+            if seed % 4 == 0:
+                n = int(rng.integers(m + 3, 2 * m + 1))
+            else:
+                n = int(rng.integers(200, 800))
+            lib, _ = synthetic_library(n=n, m=m, k_true=int(rng.integers(1, m)),
+                                       noise=1e-2, seed=seed)
+            n_dead = seed % 3
+            if n_dead:
+                matrix = lib.matrix.copy()
+                matrix[:, rng.choice(m, n_dead, replace=False)] = 0.0
+                lib = replace(lib, matrix=matrix)
+            removed, selected, residuals = reference_prune(lib, config)
+            _, trace = discover(lib, config)
+            assert [it.removed for it in trace.iterations[:-1]] == removed
+            assert trace.selected_iteration == selected
+            assert np.allclose(trace.residuals, residuals, rtol=1e-12, atol=0)
+
+    def test_library_left_unchanged(self):
+        for n in (2000, 15):
+            lib, _ = synthetic_library(n=n, m=8, k_true=3, noise=1e-4, seed=5)
+            matrix, target = lib.matrix.tobytes(), lib.target.tobytes()
+            discover(lib, PrunerConfig(record_full_trace=True))
+            assert lib.matrix.tobytes() == matrix
+            assert lib.target.tobytes() == target
 
 
 class TestDiscover:
@@ -133,15 +154,13 @@ class TestDiscover:
 
     def test_column_rescaling_invariance_100_libraries(self):
         # scaling any column leaves the removal order and selection unchanged
-        from dataclasses import replace
         for seed in range(100):
             lib, _ = synthetic_library(n=300, m=6, k_true=2, noise=1e-4, seed=seed)
             _, trace = discover(lib, PrunerConfig(record_full_trace=True))
             rng = np.random.default_rng(seed + 5000)
             scales = 2.0 ** rng.integers(-8, 9, lib.n_terms)
             scaled = lib.matrix * scales[None, :]
-            lib2 = replace(lib, matrix=scaled,
-                           singular_values=np.linalg.svd(scaled, compute_uv=False))
+            lib2 = replace(lib, matrix=scaled)
             _, trace2 = discover(lib2, PrunerConfig(record_full_trace=True))
             assert [it.removed for it in trace.iterations] == \
                    [it.removed for it in trace2.iterations]

@@ -8,7 +8,9 @@ from bgsindy import (DiscoveredModel, SolverInstability, TermDescriptor,
                      integrate_model, relative_l2)
 from bgsindy.simulate import (Etdrk4, default_config, kdv_initial_condition,
                               reference_model, solve_burgers_hyper, solve_kdv,
-                              solve_modified_ks, solve_rd2d, _rd_reaction)
+                              solve_modified_ks, solve_rd2d, _dealias_mask,
+                              _modified_ks_flux, _rd_reaction, _rfft_wavenumbers,
+                              _spectral_term_rhs)
 
 
 class TestKdv:
@@ -215,3 +217,86 @@ class TestIntegrateModel:
         with pytest.raises((SolverInstability, FloatingPointError, OverflowError)):
             with np.errstate(over="raise"):
                 integrate_model(bad, burgers_dataset)
+
+
+def assert_close_to_scale(got, ref, rtol=1e-13):
+    """max |got - ref| within rtol of max |ref|: pointwise relative error is
+    meaningless where a sum of terms cancels."""
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+def power_formula_rhs(models, k_list, mask, shapes, spectra):
+    """The spectral right-hand side with `**` powers and the derivative
+    multipliers built on every call."""
+    ndim = len(shapes)
+    irfft = ((lambda g: np.fft.irfft(g, n=shapes[0])) if ndim == 1
+             else (lambda g: np.fft.irfft2(g, s=shapes)))
+    spectra = {m.target_field: v * mask for m, v in zip(models, spectra)}
+    fields = {f: irfft(v) for f, v in spectra.items()}
+    outs = []
+    for m in models:
+        acc = np.zeros(shapes)
+        for t, c in zip(m.terms, m.coefficients):
+            term = np.ones(shapes)
+            for f, p in t.powers:
+                term = term * fields[f] ** p
+            if t.deriv is not None:
+                f, orders = t.deriv
+                g = spectra[f]
+                for ax, o in enumerate(orders):
+                    mult = (1j * k_list[ax]) ** o
+                    if o % 2 and shapes[ax] % 2 == 0:
+                        mult[-1 if ax == ndim - 1 else shapes[ax] // 2] = 0.0
+                    g = g * (mult if ndim == 1 or ax == 1 else mult[:, None])
+                term = term * irfft(g)
+            acc = acc + c * term
+        outs.append((np.fft.rfft(acc) if ndim == 1 else np.fft.rfft2(acc)) * mask)
+    return outs
+
+
+class TestMultiplyOnlyPowers:
+    """Powers by repeated products against the `**` formulas, on random fields."""
+
+    def test_rd_reaction(self, rng):
+        u, v = rng.uniform(-1.5, 1.5, (2, 64, 64))
+        fu, fv = _rd_reaction(u, v)
+        assert_close_to_scale(fu, u + 0.5 * v**3 - u * v**2 + 0.5 * u**2 * v - u**3)
+        assert_close_to_scale(fv, v - v**3 - 0.5 * u * v**2 - u**2 * v - 0.5 * u**3)
+
+    def test_modified_ks_flux(self, rng):
+        u = rng.uniform(-3.0, 3.0, 128)
+        eps = 1e-6
+        assert_close_to_scale(_modified_ks_flux(u, eps),
+                              0.5 * u**2 + eps * (u**3 + u**4 + u**5 + u**6))
+
+    def test_spectral_rhs_1d_powers_to_6_orders_1_to_4(self, rng):
+        n = 64
+        k = _rfft_wavenumbers(n, 22.0)
+        mask = _dealias_mask(n)
+        terms = [TermDescriptor((("u", p),), ("u", (o,)))
+                 for p in range(7) for o in range(1, 5)]
+        model = DiscoveredModel(tuple(terms), rng.standard_normal(len(terms)), "u", 0.0)
+        v = np.fft.rfft(rng.uniform(-1.5, 1.5, n))
+        got = _spectral_term_rhs([model], [k], mask, (n,))([v])
+        ref = power_formula_rhs([model], [k], mask, (n,), [v])
+        assert_close_to_scale(got[0], ref[0])
+
+    def test_spectral_rhs_coupled_rd2d(self, rng):
+        nx, ny = 32, 24
+        kx = 2 * np.pi * np.fft.fftfreq(nx, d=3.0 / nx)
+        ky = 2 * np.pi * np.fft.rfftfreq(ny, d=3.0 / ny)
+        mask = ((np.abs(kx) <= (2.0 / 3.0) * np.abs(kx).max())[:, None]
+                & (ky <= (2.0 / 3.0) * ky.max())[None, :])
+        # plus odd-order derivative factors along each axis
+        extra = {"u": TermDescriptor((("v", 2),), ("u", (1, 0))),
+                 "v": TermDescriptor((("u", 1),), ("v", (1, 3)))}
+        models = []
+        for f in ("u", "v"):
+            ref = reference_model("rd2d", f)
+            models.append(DiscoveredModel(ref.terms + (extra[f],),
+                                          np.append(ref.coefficients, 0.3), f, 0.0))
+        spectra = [np.fft.rfft2(rng.uniform(-1.0, 1.0, (nx, ny))) for _ in models]
+        got = _spectral_term_rhs(models, [kx, ky], mask, (nx, ny))(spectra)
+        ref = power_formula_rhs(models, [kx, ky], mask, (nx, ny), spectra)
+        for g, r in zip(got, ref):
+            assert_close_to_scale(g, r)
