@@ -160,37 +160,6 @@ class LibrarySpec:
 
 
 @dataclass(frozen=True)
-class LibraryFactor:
-    """Column-pivoted QR of a library, matrix[:, piv] = Q r, kept as r and
-    qty = Q^T target. Q itself is never formed.
-
-    r is min(N, M) x M and upper triangular. Least squares over any subset
-    of columns reduces to the same subset of r's columns against qty, and
-    the singular values of r are those of the matrix.
-    """
-    r: np.ndarray
-    qty: np.ndarray
-    piv: np.ndarray
-
-    @staticmethod
-    def of(matrix: np.ndarray, target: np.ndarray) -> "LibraryFactor":
-        qty, r, piv = scipy.linalg.qr_multiply(matrix, target, mode="right",
-                                               pivoting=True)
-        return LibraryFactor(r, qty, piv)
-
-    def columns(self) -> np.ndarray:
-        """r with its columns in library order: matrix = Q columns()."""
-        return self.r[:, np.argsort(self.piv)]
-
-    def leading(self, rank: int) -> "LibraryFactor":
-        """Factor of the library reduced to the columns piv[:rank], kept in
-        library order: matrix[:, piv[:rank]] = Q[:, :rank] r[:rank, :rank]."""
-        lead = self.piv[:rank]
-        return LibraryFactor(self.r[:rank, :rank], self.qty[:rank],
-                             np.searchsorted(np.sort(lead), lead))
-
-
-@dataclass(frozen=True)
 class Library:
     terms: tuple[TermDescriptor, ...]
     matrix: np.ndarray            # N x M
@@ -199,8 +168,6 @@ class Library:
     target_field: str
     spec: LibrarySpec
     diagnostics: dict = field(default_factory=dict)
-    _factor: LibraryFactor | None = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         if self.matrix.shape[1] != len(self.terms):
@@ -209,14 +176,6 @@ class Library:
             raise DatasetError("matrix rows must match target length")
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.target).all()):
             raise DatasetError("library contains non-finite entries")
-
-    @property
-    def factor(self) -> LibraryFactor:
-        """The library's one tall factorization: handed over by
-        `reduce_independent` from its own, or computed on first use."""
-        if self._factor is None:
-            object.__setattr__(self, "_factor", LibraryFactor.of(self.matrix, self.target))
-        return self._factor
 
     @property
     def n_samples(self) -> int:
@@ -378,23 +337,21 @@ def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
     """Drop columns until a maximal numerically independent subset remains.
 
     Pivoted-QR diagonals below tol times the largest are treated as dependent;
-    the numerical rank is cross-checked against the singular values of the
-    full matrix. The reduced library keeps the QR (`Library.factor`), so a
-    discovery factorizes its N x M matrix once.
+    the numerical rank is cross-checked against the SVD of the full matrix.
     """
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
-    factor = library.factor
-    diag = np.abs(np.diag(factor.r))
+    R, piv = scipy.linalg.qr(library.matrix, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
     dmax = diag.max()
     if dmax == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
     rank = int((diag >= tol * dmax).sum())
     if rank == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
-    kept = np.sort(factor.piv[:rank])
-    dropped = np.sort(factor.piv[rank:])
-    sv = np.linalg.svd(factor.r, compute_uv=False)
+    kept = np.sort(piv[:rank])
+    dropped = np.sort(piv[rank:])
+    sv = np.linalg.svd(library.matrix, compute_uv=False)
     svd_rank = int((sv >= tol * sv.max()).sum())
     diagnostics = dict(library.diagnostics)
     diagnostics["independence"] = {
@@ -404,10 +361,7 @@ def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
         "dropped": [library.terms[j].name for j in dropped],
     }
     if rank == library.n_terms:
-        reduced = replace(library, diagnostics=diagnostics)
-    else:
-        reduced = Library(tuple(library.terms[j] for j in kept), library.matrix[:, kept],
-                          library.target, library.sample_set, library.target_field,
-                          library.spec, diagnostics)
-    object.__setattr__(reduced, "_factor", factor.leading(rank))
-    return reduced
+        return replace(library, diagnostics=diagnostics)
+    return Library(tuple(library.terms[j] for j in kept), library.matrix[:, kept],
+                   library.target, library.sample_set, library.target_field,
+                   library.spec, diagnostics)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import DatasetError, DiscoveredModel, PruneIteration, PruneTrace
 from .library import Library
@@ -75,10 +76,11 @@ class _ActiveSystem:
 
     The columns live in a column-major working copy that is compacted in
     place when a term is dropped; `library.matrix` is never written. Refits
-    of a tall system (N > 2M) go through the library's QR (`Library.factor`),
-    which leaves solutions unchanged up to round-off. Residuals are always
-    evaluated directly on the full data; the compressed form condenses
-    large-magnitude rows and wobbles at the round-off floor.
+    of a tall system (N > 2M) go through a one-time QR compression
+    (N x M -> M x M), which leaves solutions unchanged up to round-off: the
+    R factor of [phi | y] holds R and Q^T y, so Q is never formed. Residuals
+    are always evaluated directly on the full data; the compressed form
+    condenses large-magnitude rows and wobbles at the round-off floor.
     """
 
     def __init__(self, library: Library):
@@ -86,12 +88,15 @@ class _ActiveSystem:
         self.n = n
         self.k = m
         self.y = library.target
-        self.cols = np.array(library.matrix, order="F")
+        self.r = None
         if n > 2 * m:
-            self.r = library.factor.columns()
-            self.qty = library.factor.qty
-        else:
-            self.r = None
+            aug = np.empty((n, m + 1), order="F")
+            aug[:, :m] = library.matrix
+            aug[:, m] = self.y
+            r = scipy.linalg.qr(aug, mode="r", overwrite_a=True, check_finite=False)[0]
+            del aug     # before the working copy: keeps the peak memory down
+            self.r, self.qty = r[:m, :m], r[:m, m]
+        self.cols = np.array(library.matrix, order="F")
 
     def fit(self, active: list[int]) -> np.ndarray:
         if self.r is not None:

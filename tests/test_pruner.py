@@ -82,6 +82,28 @@ def reference_prune(lib, config):
     return removed, selected, np.array(residuals)
 
 
+class TestPruneStep:
+    def test_zero_column_removed_first(self):
+        lib, _ = synthetic_library(m=4, k_true=4)
+        matrix = lib.matrix.copy()
+        matrix[:, 2] = 1e-300      # effectively dead column -> xi ~ 0
+        lib2 = replace(lib, matrix=matrix)
+        _, trace = discover(lib2, PrunerConfig(record_full_trace=True))
+        assert trace.iterations[0].removed == 2
+        assert trace.residuals[1] >= trace.residuals[0] - 1e-15
+
+    def test_matches_discover_path(self):
+        # one prune step at a time (the reference loop) reproduces
+        # discover's removal order exactly
+        lib, _ = synthetic_library(n=2000, m=10, k_true=3, noise=1e-4, seed=5)
+        config = PrunerConfig(record_full_trace=True)
+        _, trace = discover(lib, config)
+        removed_seq, _, _ = reference_prune(lib, config)
+        trace_removed = [it.removed for it in trace.iterations if it.removed is not None]
+        assert len(removed_seq) == lib.n_terms - 1
+        assert removed_seq == trace_removed
+
+
 class TestReferenceLoop:
     def test_discover_matches_reference_on_60_libraries(self):
         # tall (QR-compressed refits) and square-ish libraries, with dead
