@@ -18,13 +18,7 @@ from .core import (
     save_dataset,
     subsample,
 )
-from .differentiation import (
-    DerivativeSpec,
-    fd_derivative,
-    smooth_field,
-    spectral_derivative,
-    time_derivative,
-)
+from .differentiation import time_derivative
 from .library import Library, LibrarySpec, TermDescriptor, build_library, reduce_independent, render_term
 from .regression import FitResult, least_squares, residual
 from .pruner import PrunerConfig, discover, importance

@@ -7,7 +7,6 @@ the Fornberg recursion; periodic axes can instead be differentiated spectrally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,49 +102,6 @@ def spectral_diff(values: np.ndarray, axis: int, spacing: float, order: int) -> 
     f = np.moveaxis(values, axis, -1)
     out = np.fft.irfft(np.fft.rfft(f, axis=-1) * mult, n=m, axis=-1)
     return np.moveaxis(out, -1, axis)
-
-
-@dataclass(frozen=True)
-class DerivativeSpec:
-    field: str
-    axis: str                      # 'x' | 'y' | 't'
-    order: int
-    method: str = "finite-difference"   # or 'spectral'
-    fd_accuracy: int = 4
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "t"):
-            raise DatasetError(f"unknown axis {self.axis!r}")
-        if self.order < 1:
-            raise DatasetError("derivative order must be >= 1")
-
-
-def _axis_index(dataset: Dataset, axis: str) -> tuple[int, float]:
-    if axis == "t":
-        return len(dataset.space_axes), dataset.time_axis.spacing
-    i = {"x": 0, "y": 1}[axis]
-    if i >= dataset.ndim_space:
-        raise DatasetError(f"dataset has no axis {axis!r}")
-    return i, dataset.space_axes[i].spacing
-
-
-def fd_derivative(dataset: Dataset, spec: DerivativeSpec) -> np.ndarray:
-    """Finite-difference derivative of a dataset field along one axis."""
-    ax, spacing = _axis_index(dataset, spec.axis)
-    periodic = (spec.axis != "t"
-                and dataset.boundary[spec.field] == "periodic")
-    return fd_diff(dataset.fields[spec.field], ax, spacing, spec.order,
-                   spec.fd_accuracy, periodic=periodic)
-
-
-def spectral_derivative(dataset: Dataset, spec: DerivativeSpec) -> np.ndarray:
-    """Spectral derivative of a periodic field along one space axis."""
-    if spec.axis == "t":
-        raise DatasetError("spectral differentiation along time is not supported")
-    if dataset.boundary[spec.field] != "periodic":
-        raise DatasetError(f"field '{spec.field}' is not periodic")
-    ax, spacing = _axis_index(dataset, spec.axis)
-    return spectral_diff(dataset.fields[spec.field], ax, spacing, spec.order)
 
 
 def time_derivative(dataset: Dataset, field: str) -> np.ndarray:
@@ -303,10 +259,3 @@ def bump_filter(values: np.ndarray, half_widths, degree: int, periodic) -> np.nd
         out = np.fft.irfft(spec, nfft, axis=ax)[tuple(valid)]
     return out
 
-
-def smooth_field(dataset: Dataset, field: str, window: int, degree: int) -> np.ndarray:
-    """Separable local-polynomial smoothing over every axis of a field."""
-    out = dataset.fields[field]
-    for ax in range(out.ndim):
-        out = sg_smooth(out, ax, window, degree)
-    return out

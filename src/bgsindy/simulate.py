@@ -1,16 +1,19 @@
-"""Benchmark dataset generation and forward integration of discovered models.
+"""Benchmark dataset generation and forward integration of models.
 
-Periodic benchmarks use Fourier pseudo-spectral space discretization with
-2/3-rule dealiasing and exponential time differencing (ETDRK4, with the
-update coefficients evaluated by the standard contour-quadrature trick).
-The bounded KdV benchmark uses RK4 over 4th-order central differences with
-an antisymmetric ghost closure consistent with homogeneous Dirichlet walls.
+A benchmark dataset is its reference model integrated from its initial
+condition by the code that reintegrates discovered models (`integrate_model`).
+Periodic fields use Fourier pseudo-spectral space discretization with 2/3-rule
+dealiasing, and ETDRK4 (update coefficients by contour quadrature) for one 1D
+field or adaptive RK45 for coupled 2D fields. Bounded fields (KdV) use RK4 over
+4th-order central differences with an antisymmetric ghost closure consistent
+with homogeneous Dirichlet walls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -23,11 +26,7 @@ BLOWUP_LIMIT = 1e6
 
 
 class SolverInstability(RuntimeError):
-    """Numerical blow-up or integrator failure; carries any partial trajectory."""
-
-    def __init__(self, message, partial: Dataset | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Numerical blow-up or integrator failure."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,30 @@ def reference_model(benchmark: str, field_name: str = "u",
 
 
 # ---------------------------------------------------------------------------
+# pointwise model terms, shared by both integrators
+
+def _grouped(pairs):
+    """The (term, c) pairs as (c, terms) groups of the terms that share a
+    coefficient, in order of first appearance."""
+    groups = {}
+    for t, c in pairs:
+        groups.setdefault(float(c), []).append(t)
+    return list(groups.items())
+
+
+def _weighted_sum(groups, powers, derivs):
+    """Pointwise sum over (c, terms) groups of c times the summed terms: a
+    group is summed before it is scaled, which saves a product per term."""
+    acc = None
+    for c, terms in groups:
+        total = terms[0].evaluate(powers, derivs)
+        for t in terms[1:]:
+            total = total + t.evaluate(powers, derivs)
+        acc = c * total if acc is None else acc + c * total
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # bounded FD machinery (KdV and Dirichlet model integration)
 
 def _ghost_matrix(n: int, dx: float, order: int, accuracy: int = 4) -> np.ndarray:
@@ -150,38 +173,15 @@ def _fd_rhs(terms, coefs, mats):
     def rhs(u):
         powers = power_tables({"u": u}, degrees)
         derivs = {key: mats[key[1][0]] @ u for key in mats_keys}
-        out = np.zeros_like(u)
-        for t, c in zip(terms, coefs):
-            out += c * t.evaluate(powers, derivs)
+        out = _weighted_sum(groups, powers, derivs) if groups else np.zeros_like(u)
         out[0] = 0.0
         out[-1] = 0.0
         return out
 
     mats_keys = [t.deriv for t in terms if t.deriv is not None]
     degrees = power_degrees(terms)
+    groups = _grouped(zip(terms, coefs))
     return rhs
-
-
-def _integrate_fd_rk4(model: DiscoveredModel, u0: np.ndarray, dx: float,
-                      dt: float, stride: int, n_out: int) -> np.ndarray:
-    n = u0.size
-    orders = sorted({t.deriv[1][0] for t in model.terms if t.deriv is not None})
-    mats = {q: _ghost_matrix(n, dx, q) for q in orders}
-    rhs = _fd_rhs(model.terms, model.coefficients, mats)
-    u = u0.copy()
-    out = np.empty((n, n_out))
-    out[:, 0] = u
-    for j in range(1, n_out):
-        for _ in range(stride):
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * dt * k1)
-            k3 = rhs(u + 0.5 * dt * k2)
-            k4 = rhs(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LIMIT:
-            raise SolverInstability(f"blow-up at output step {j}", None)
-        out[:, j] = u
-    return out
 
 
 def _fd_stability_step(model: DiscoveredModel, dx: float) -> float:
@@ -202,6 +202,36 @@ def _fd_stability_step(model: DiscoveredModel, dx: float) -> float:
     return 2.5 / bound if bound > 0 else np.inf
 
 
+def _fd_slices(models, initial, space_axes, time_axis, dt):
+    """RK4 over ghost-closure stencils: an iterator over the output slices
+    after the first, and the step settings."""
+    if len(models) != 1 or len(space_axes) != 1:
+        raise DatasetError("bounded integration supports a single 1D field")
+    model = models[0]
+    dx = space_axes[0].spacing
+    if dt is None:
+        stride = max(1, int(math.ceil(time_axis.spacing / _fd_stability_step(model, dx))))
+    else:
+        stride = max(1, int(round(time_axis.spacing / dt)))
+    dt = time_axis.spacing / stride
+    return _fd_rk4_steps(model, initial[model.target_field], dx, dt, stride,
+                         time_axis.count - 1), {"dt": dt, "stride": stride}
+
+
+def _fd_rk4_steps(model, u, dx, dt, stride, count):
+    orders = sorted({t.deriv[1][0] for t in model.terms if t.deriv is not None})
+    mats = {q: _ghost_matrix(u.size, dx, q) for q in orders}
+    rhs = _fd_rhs(model.terms, model.coefficients, mats)
+    for _ in range(count):
+        for _ in range(stride):
+            k1 = rhs(u)
+            k2 = rhs(u + 0.5 * dt * k1)
+            k3 = rhs(u + 0.5 * dt * k2)
+            k4 = rhs(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield (u,)
+
+
 # ---------------------------------------------------------------------------
 # periodic spectral machinery
 
@@ -209,7 +239,6 @@ class Etdrk4:
     """Fourth-order exponential time differencing for v_t = L v + N(v)."""
 
     def __init__(self, lin: np.ndarray, dt: float, n_contour: int = 64):
-        self.dt = dt
         lr = dt * lin[:, None] + np.exp(
             1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)[None, :]
         elr = np.exp(lr)
@@ -217,50 +246,224 @@ class Etdrk4:
         self.e_half = np.exp(0.5 * dt * lin)
         self.q = dt * ((np.exp(lr / 2) - 1) / lr).mean(1).real
         self.f1 = dt * ((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3).mean(1).real
-        self.f2 = dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(1).real
+        self.f2_twice = 2 * dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(1).real
         self.f3 = dt * ((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3).mean(1).real
 
     def step(self, v: np.ndarray, nonlin) -> np.ndarray:
         nv = nonlin(v)
-        a = self.e_half * v + self.q * nv
+        ev = self.e_half * v
+        a = ev + self.q * nv
         na = nonlin(a)
-        b = self.e_half * v + self.q * na
+        b = ev + self.q * na
         nb = nonlin(b)
         c = self.e_half * a + self.q * (2 * nb - nv)
         nc = nonlin(c)
-        return self.e_full * v + nv * self.f1 + (na + nb) * 2 * self.f2 + nc * self.f3
+        return self.e_full * v + nv * self.f1 + (na + nb) * self.f2_twice + nc * self.f3
 
 
-def _rfft_wavenumbers(n: int, length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+def _spectral_grid(space_axes):
+    """Wavenumbers per axis and the 2/3-rule dealias mask, over the real-FFT
+    spectrum: a full transform along every axis but the last, a half one
+    along the last. Each wavenumber array is shaped to broadcast over it."""
+    ndim = len(space_axes)
+    ks = []
+    mask = True
+    for ax, a in enumerate(space_axes):
+        n = a.count
+        freq = np.fft.rfftfreq if ax == ndim - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(n, d=n * a.spacing / n)
+        i = np.arange(k.size)
+        shape = [1] * ndim
+        shape[ax] = k.size
+        ks.append(k.reshape(shape))
+        mask = mask & (np.minimum(i, n - i) <= (2 * (n // 2)) // 3).reshape(shape)
+    return ks, mask
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    return np.arange(n // 2 + 1) <= (2 * (n // 2)) // 3
+def _split_linear(model: DiscoveredModel, ks):
+    """Diagonal spectral symbol of the pure even-order self-derivative terms,
+    and the model of the remaining terms."""
+    lin = np.zeros(np.broadcast_shapes(*(k.shape for k in ks)))
+    rest = []
+    for t, c in zip(model.terms, model.coefficients):
+        if (not t.powers and t.deriv is not None and t.deriv[0] == model.target_field
+                and all(o % 2 == 0 for o in t.deriv[1])):
+            symbol = 1.0
+            for k, o in zip(ks, t.deriv[1]):
+                symbol = symbol * (-1) ** (o // 2) * k**o    # (ik)^o, o even
+            lin = lin + c * symbol
+        else:
+            rest.append((t, c))
+    return lin, DiscoveredModel(tuple(t for t, _ in rest),
+                                np.array([c for _, c in rest]), model.target_field, 0.0)
 
 
-def _run_etdrk4(lin, nonlin, u0, dt, stride, n_out):
-    stepper = Etdrk4(lin, dt)
-    v = np.fft.rfft(u0)
-    n = u0.size
-    out = np.empty((n, n_out))
-    out[:, 0] = u0
-    for j in range(1, n_out):
+def _flux_axis(term: TermDescriptor) -> int | None:
+    """Axis a when the term is f^p f_a: powers of one field f times a single
+    first derivative of f itself. Otherwise None."""
+    if (term.deriv is None or len(term.powers) != 1 or sum(term.deriv[1]) != 1
+            or term.powers[0][0] != term.deriv[0]):
+        return None
+    return term.deriv[1].index(1)
+
+
+def _spectral_term_rhs(models, ks, mask, shape):
+    """Right-hand side of periodic models in real-FFT space.
+
+    It maps the fields' spectra, in model order, to each model's spectrum.
+    A term f^p f_a (`_flux_axis`) is a flux: its monomial f^(p+1) / (p+1) is
+    evaluated pointwise, the fluxes of a model are summed per axis, and the
+    sum is differentiated once, by i k_a on its spectrum. Every other term
+    is evaluated pointwise, its derivative factor taken through the spectral
+    multiplier (i k)^o. All multipliers, with the dealias mask folded in, are
+    built once here.
+    """
+    if len(shape) == 1:
+        forward, inverse = np.fft.rfft, partial(np.fft.irfft, n=shape[0])
+    else:
+        forward, inverse = np.fft.rfft2, partial(np.fft.irfft2, s=shape)
+    fields = [m.target_field for m in models]
+    plans = []
+    deriv_mults = {}
+    evaluated = []
+    for m in models:
+        local, fluxes = [], {}
+        for t, c in zip(m.terms, m.coefficients):
+            axis = _flux_axis(t)
+            if axis is None:
+                local.append((t, c))
+                if t.deriv is not None and t.deriv not in deriv_mults:
+                    mult = mask
+                    for k, o in zip(ks, t.deriv[1]):
+                        if o:
+                            mult = mult * (1j * k) ** o
+                    deriv_mults[t.deriv] = (fields.index(t.deriv[0]), mult)
+            else:
+                (f, p), = t.powers
+                fluxes.setdefault(axis, []).append((TermDescriptor(((f, p + 1),)), c / (p + 1)))
+        evaluated += [t for t, _ in local] + [t for pairs in fluxes.values() for t, _ in pairs]
+        plans.append((_grouped(local), [(1j * ks[axis] * mask, _grouped(pairs))
+                                        for axis, pairs in sorted(fluxes.items())]))
+    degrees = power_degrees(evaluated)
+    no_derivs = {}
+
+    def rhs(vs):
+        powers = {f: power_table(inverse(v * mask), degrees.get(f, 1))
+                  for f, v in zip(fields, vs)}
+        derivs = ({key: inverse(vs[i] * mult) for key, (i, mult) in deriv_mults.items()}
+                  if deriv_mults else no_derivs)
+        outs = []
+        for v, (local, flux_plans) in zip(vs, plans):
+            out = forward(_weighted_sum(local, powers, derivs)) * mask if local else None
+            for mult, groups in flux_plans:
+                g = forward(_weighted_sum(groups, powers, no_derivs)) * mult
+                out = g if out is None else out + g
+            outs.append(np.zeros_like(v) if out is None else out)
+        return outs
+
+    return rhs
+
+
+def _spectral_slices(models, initial, space_axes, time_axis, dt, rtol, atol):
+    """Pseudo-spectral integration of periodic fields: an iterator over the
+    output slices after the first, and the step settings. One 1D field steps
+    with ETDRK4 on its even pure-derivative terms; coupled 2D fields with
+    adaptive RK45, where those terms act on the unmasked spectrum so that
+    above-cutoff content is damped rather than frozen."""
+    shape = tuple(a.count for a in space_axes)
+    if len(shape) == 1 and len(models) != 1:
+        raise DatasetError("1D integration expects a single model")
+    ks, mask = _spectral_grid(space_axes)
+    lins, rest = zip(*(_split_linear(m, ks) for m in models))
+    nonlin = _spectral_term_rhs(rest, ks, mask, shape)
+    if len(shape) == 1:
+        stride = 1 if dt is None else max(1, int(round(time_axis.spacing / dt)))
+        dt = time_axis.spacing / stride
+        v0 = np.fft.rfft(initial[models[0].target_field])
+        return (_etdrk4_steps(Etdrk4(lins[0], dt), lambda v: nonlin([v])[0], v0, shape[0],
+                              stride, time_axis.count - 1), {"dt": dt})
+
+    def rhs(_t, z):
+        vs = [w.reshape(mask.shape) for w in np.split(z, len(models))]
+        return np.concatenate([(o + lin * v).ravel()
+                               for o, lin, v in zip(nonlin(vs), lins, vs)])
+
+    z0 = np.concatenate([np.fft.rfft2(initial[m.target_field]).ravel() for m in models])
+    t_eval = time_axis.spacing * np.arange(time_axis.count)
+    sol = solve_ivp(rhs, (0.0, t_eval[-1]), z0, method="RK45", t_eval=t_eval,
+                    rtol=rtol, atol=atol)
+    if sol.status != 0 or sol.y.shape[1] != time_axis.count:
+        raise SolverInstability(f"adaptive integration failed: {sol.message}")
+    slices = ([np.fft.irfft2(w.reshape(mask.shape), s=shape)
+               for w in np.split(sol.y[:, j], len(models))]
+              for j in range(1, time_axis.count))
+    return slices, {"nfev": int(sol.nfev)}
+
+
+def _etdrk4_steps(stepper, nonlin, v, n, stride, count):
+    for _ in range(count):
         for _ in range(stride):
             v = stepper.step(v, nonlin)
-        u = np.fft.irfft(v, n=n)
-        if not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LIMIT:
-            raise SolverInstability(f"blow-up at output step {j}", None)
-        out[:, j] = u
-    return out
+        yield (np.fft.irfft(v, n=n),)
 
 
 # ---------------------------------------------------------------------------
-# benchmark solvers
+# forward integration, shared by the benchmark solvers and discovered models
 
-def _output_counts(config: BenchmarkConfig) -> int:
-    return int(round(config.t_final / config.output_dt)) + 1
+def _integrate(models, initial, space_axes, time_axis, boundary, dt, rtol, atol):
+    """Integrate the models from their initial fields over the time axis.
 
+    `initial` maps each model's target field to its values on the space
+    grid, and `boundary` to its boundary kind. `dt` is the step of the
+    stepping integrators, rounded so that whole steps span each output
+    interval; adaptive RK45 takes `rtol` and `atol` instead. Returns the
+    trajectories, shaped space + time with `initial` as the first slice, and
+    the step settings. Raises SolverInstability when a value at an output
+    time is non-finite or beyond BLOWUP_LIMIT.
+    """
+    fields = [m.target_field for m in models]
+    if all(boundary[f] == "periodic" for f in fields):
+        slices, info = _spectral_slices(models, initial, space_axes, time_axis,
+                                        dt, rtol, atol)
+    else:
+        slices, info = _fd_slices(models, initial, space_axes, time_axis, dt)
+    out = {}
+    for f in fields:
+        out[f] = np.empty(initial[f].shape + (time_axis.count,))
+        out[f][..., 0] = initial[f]
+    for j, values in enumerate(slices, start=1):
+        for f, u in zip(fields, values):
+            if not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LIMIT:
+                raise SolverInstability(f"blow-up at output step {j}")
+            out[f][..., j] = u
+    return out, info
+
+
+def integrate_model(models, initial: Dataset, integrator: str = "auto",
+                    dt: float | None = None, rtol: float = 1e-6,
+                    atol: float = 1e-8) -> Dataset:
+    """Method-of-lines integration of one or more discovered models.
+
+    The initial condition and the output time axis come from `initial`; the
+    returned Dataset is aligned with it slice for slice. Periodic single-field
+    1D models use ETDRK4 on the even pure-derivative subset; coupled 2D systems
+    use adaptive RK45; Dirichlet fields use RK4 over ghost-closure stencils.
+    """
+    if isinstance(models, DiscoveredModel):
+        models = [models]
+    for m in models:
+        if m.target_field not in initial.fields:
+            raise DatasetError(f"initial dataset lacks field '{m.target_field}'")
+    u0 = {m.target_field: initial.fields[m.target_field][..., 0] for m in models}
+    fields, info = _integrate(models, u0, initial.space_axes, initial.time_axis,
+                              initial.boundary, dt, rtol, atol)
+    return Dataset(initial.space_axes, initial.time_axis, fields,
+                   {f: initial.boundary[f] for f in fields},
+                   {"integrated_model": [m.to_json_dict() for m in models], **info})
+
+
+# ---------------------------------------------------------------------------
+# benchmark solvers: the reference models, integrated
 
 def _space_axes(config: BenchmarkConfig, periodic: bool) -> tuple[Axis, ...]:
     axes = []
@@ -268,6 +471,22 @@ def _space_axes(config: BenchmarkConfig, periodic: bool) -> tuple[Axis, ...]:
         spacing = (hi - lo) / (n if periodic else n - 1)
         axes.append(Axis(lo, spacing, n))
     return tuple(axes)
+
+
+def _reference_run(config: BenchmarkConfig, axes, initial: dict, boundary: str,
+                   stability: dict) -> Dataset:
+    """The benchmark's reference models integrated from `initial`, with the run's
+    provenance; an adaptive run adds its right-hand-side count to `stability`."""
+    models = [reference_model(config.benchmark, f, epsilon=config.epsilon) for f in initial]
+    time_axis = Axis(0.0, config.output_dt, int(round(config.t_final / config.output_dt)) + 1)
+    boundaries = {f: boundary for f in initial}
+    fields, info = _integrate(models, initial, axes, time_axis, boundaries,
+                              config.dt, config.rtol, config.atol)
+    if "nfev" in info:
+        stability = {**stability, "nfev": info["nfev"]}
+    meta = {"benchmark": config.benchmark, "config": config.to_json_dict(),
+            "stability": stability}
+    return Dataset(axes, time_axis, fields, boundaries, meta)
 
 
 def kdv_initial_condition(x: np.ndarray) -> np.ndarray:
@@ -279,49 +498,19 @@ def solve_kdv(config: BenchmarkConfig | None = None) -> Dataset:
     """Small-dispersion KdV on [0, 2] with homogeneous Dirichlet walls."""
     config = config or default_config("kdv")
     axes = _space_axes(config, periodic=False)
-    x = axes[0].points()
-    dx = axes[0].spacing
-    u0 = kdv_initial_condition(x)
-    model = reference_model("kdv", epsilon=config.epsilon)
-    n_out = _output_counts(config)
-    u = _integrate_fd_rk4(model, u0, dx, config.dt, config.output_stride, n_out)
-    lam_dt = config.epsilon * 4.61 / dx**3 * config.dt
-    meta = {"benchmark": "kdv", "config": config.to_json_dict(),
-            "stability": {"dispersive_lambda_dt": lam_dt, "rk4_imag_limit": 2.828}}
-    return Dataset(axes, Axis(0.0, config.output_dt, n_out), {"u": u},
-                   {"u": "dirichlet-homogeneous"}, meta)
+    lam_dt = config.epsilon * 4.61 / axes[0].spacing**3 * config.dt
+    return _reference_run(config, axes, {"u": kdv_initial_condition(axes[0].points())},
+                          "dirichlet-homogeneous",
+                          {"dispersive_lambda_dt": lam_dt, "rk4_imag_limit": 2.828})
 
 
 def solve_burgers_hyper(config: BenchmarkConfig | None = None) -> Dataset:
     """Viscous Burgers with a vanishing hyperviscosity term, periodic."""
     config = config or default_config("burgers-hyper")
     axes = _space_axes(config, periodic=True)
-    n = axes[0].count
-    length = n * axes[0].spacing
-    x = axes[0].points()
-    k = _rfft_wavenumbers(n, length)
-    mask = _dealias_mask(n)
-    ik = 1j * k
-    lin = -0.5 * k**2 - config.epsilon * k**4
-
-    def nonlin(v):
-        u = np.fft.irfft(v * mask, n=n)
-        return -0.5 * ik * (np.fft.rfft(u * u) * mask)
-
-    u0 = np.cos(x / 16.0)
-    n_out = _output_counts(config)
-    u = _run_etdrk4(lin, nonlin, u0, config.dt, config.output_stride, n_out)
-    meta = {"benchmark": "burgers-hyper", "config": config.to_json_dict(),
-            "stability": {"advective_cfl": float(config.dt * k[mask].max())}}
-    return Dataset(axes, Axis(0.0, config.output_dt, n_out), {"u": u},
-                   {"u": "periodic"}, meta)
-
-
-def _modified_ks_flux(u, eps):
-    """u^2/2 + eps (u^3 + u^4 + u^5 + u^6), whose x-derivative is the
-    modified-KS nonlinearity in conservative form."""
-    u2, u3, u4, u5, u6 = power_table(u, 6)[1:]
-    return 0.5 * u2 + eps * (u3 + u4 + u5 + u6)
+    (k,), mask = _spectral_grid(axes)
+    return _reference_run(config, axes, {"u": np.cos(axes[0].points() / 16.0)}, "periodic",
+                          {"advective_cfl": float(config.dt * k[mask].max())})
 
 
 def solve_modified_ks(config: BenchmarkConfig | None = None) -> Dataset:
@@ -332,27 +521,12 @@ def solve_modified_ks(config: BenchmarkConfig | None = None) -> Dataset:
     """
     config = config or default_config("modified-ks")
     axes = _space_axes(config, periodic=True)
-    n = axes[0].count
-    length = n * axes[0].spacing
+    (k,), mask = _spectral_grid(axes)
     x = axes[0].points()
-    k = _rfft_wavenumbers(n, length)
-    mask = _dealias_mask(n)
-    ik = 1j * k
-    lin = k**2 - k**4
-    eps = config.epsilon
-    two_pi = 2.0 * np.pi / length
-
-    def nonlin(v):
-        u = np.fft.irfft(v * mask, n=n)
-        return -ik * (np.fft.rfft(_modified_ks_flux(u, eps)) * mask)
-
+    two_pi = 2.0 * np.pi / (axes[0].count * axes[0].spacing)
     u0 = np.cos(3 * two_pi * x) - 0.5 * np.sin(two_pi * x)
-    n_out = _output_counts(config)
-    u = _run_etdrk4(lin, nonlin, u0, config.dt, config.output_stride, n_out)
-    meta = {"benchmark": "modified-ks", "config": config.to_json_dict(),
-            "stability": {"advective_cfl": float(3.5 * config.dt * k[mask].max())}}
-    return Dataset(axes, Axis(0.0, config.output_dt, n_out), {"u": u},
-                   {"u": "periodic"}, meta)
+    return _reference_run(config, axes, {"u": u0}, "periodic",
+                          {"advective_cfl": float(3.5 * config.dt * k[mask].max())})
 
 
 def rd2d_initial_condition(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,60 +536,15 @@ def rd2d_initial_condition(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     return np.tanh(r) * np.cos(2 * theta - r), np.tanh(r) * np.sin(2 * theta - r)
 
 
-def _rd_reaction(u, v):
-    u, u2, u3 = power_table(u, 3)
-    v, v2, v3 = power_table(v, 3)
-    fu = u + 0.5 * v3 - u * v2 + 0.5 * u2 * v - u3
-    fv = v - v3 - 0.5 * u * v2 - u2 * v - 0.5 * u3
-    return fu, fv
-
-
 def solve_rd2d(config: BenchmarkConfig | None = None) -> Dataset:
     """Coupled cubic reaction-diffusion system on a periodic square grid."""
     config = config or default_config("rd2d")
     axes = _space_axes(config, periodic=True)
-    nx, ny = axes[0].count, axes[1].count
-    lx = nx * axes[0].spacing
-    ly = ny * axes[1].spacing
-    kx = 2 * np.pi * np.fft.fftfreq(nx, d=lx / nx)
-    ky = 2 * np.pi * np.fft.rfftfreq(ny, d=ly / ny)
-    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-    mx = np.abs(kx) <= (2.0 / 3.0) * np.abs(kx).max()
-    my = ky <= (2.0 / 3.0) * ky.max()
-    mask = mx[:, None] & my[None, :]
-    eps = config.epsilon
-    nh = nx * (ny // 2 + 1)
-
-    def rhs(_t, z):
-        uh = z[:nh].reshape(nx, ny // 2 + 1)
-        vh = z[nh:].reshape(nx, ny // 2 + 1)
-        u = np.fft.irfft2(uh * mask, s=(nx, ny))
-        v = np.fft.irfft2(vh * mask, s=(nx, ny))
-        fu, fv = _rd_reaction(u, v)
-        du = np.fft.rfft2(fu) * mask - eps * k2 * uh
-        dv = np.fft.rfft2(fv) * mask - eps * k2 * vh
-        return np.concatenate([du.ravel(), dv.ravel()])
-
+    (kx, ky), _ = _spectral_grid(axes)
     u0, v0 = rd2d_initial_condition(axes[0].points(), axes[1].points())
-    z0 = np.concatenate([np.fft.rfft2(u0).ravel(), np.fft.rfft2(v0).ravel()])
-    n_out = _output_counts(config)
-    t_eval = config.output_dt * np.arange(n_out)
-    sol = solve_ivp(rhs, (0.0, config.t_final), z0, method="RK45",
-                    t_eval=t_eval, rtol=config.rtol, atol=config.atol)
-    if sol.status != 0 or sol.y.shape[1] != n_out:
-        raise SolverInstability(f"adaptive integration failed: {sol.message}", None)
-    u = np.empty((nx, ny, n_out))
-    v = np.empty((nx, ny, n_out))
-    for j in range(n_out):
-        u[:, :, j] = np.fft.irfft2(sol.y[:nh, j].reshape(nx, ny // 2 + 1), s=(nx, ny))
-        v[:, :, j] = np.fft.irfft2(sol.y[nh:, j].reshape(nx, ny // 2 + 1), s=(nx, ny))
-    if np.abs(u).max() > BLOWUP_LIMIT or np.abs(v).max() > BLOWUP_LIMIT:
-        raise SolverInstability("blow-up in reaction-diffusion run", None)
-    meta = {"benchmark": "rd2d", "config": config.to_json_dict(),
-            "stability": {"diffusion_lambda_max": float(eps * k2.max()),
-                          "nfev": int(sol.nfev)}}
-    return Dataset(axes, Axis(0.0, config.output_dt, n_out), {"u": u, "v": v},
-                   {"u": "periodic", "v": "periodic"}, meta)
+    return _reference_run(config, axes, {"u": u0, "v": v0}, "periodic",
+                          {"diffusion_lambda_max": float(config.epsilon
+                                                         * (kx**2 + ky**2).max())})
 
 
 def generate_benchmark(benchmark: str, config: BenchmarkConfig | None = None) -> Dataset:
@@ -423,217 +552,6 @@ def generate_benchmark(benchmark: str, config: BenchmarkConfig | None = None) ->
               "modified-ks": solve_modified_ks, "rd2d": solve_rd2d}.get(benchmark)
     if solver is None:
         raise DatasetError(f"unknown benchmark {benchmark!r}")
+    if config is not None and config.benchmark != benchmark:
+        raise DatasetError(f"config is for {config.benchmark!r}, not {benchmark!r}")
     return solver(config)
-
-
-# ---------------------------------------------------------------------------
-# forward integration of discovered models
-
-def _split_linear(model: DiscoveredModel, k: np.ndarray):
-    """Diagonal spectral symbol from pure even-order self-derivative terms."""
-    lin = np.zeros_like(k)
-    nonlinear = []
-    for t, c in zip(model.terms, model.coefficients):
-        if (not t.powers and t.deriv is not None and t.deriv[0] == model.target_field
-                and len(t.deriv[1]) == 1 and t.deriv[1][0] % 2 == 0):
-            q = t.deriv[1][0]
-            lin = lin + c * ((1j * k) ** q).real
-        else:
-            nonlinear.append((t, c))
-    return lin, nonlinear
-
-
-def _spectral_term_rhs(models, k_list, masks, shapes):
-    """RHS evaluator for coupled periodic fields in rfft space.
-
-    The derivative multipliers (ik)^o, odd orders with the Nyquist mode
-    zeroed, are built once here, per axis of each derivative factor.
-    """
-    fields = [m.target_field for m in models]
-    terms = [t for m in models for t in m.terms]
-    degrees = power_degrees(terms)
-    multipliers = {}
-    for t in terms:
-        if t.deriv is None or t.deriv in multipliers:
-            continue
-        mults = []
-        for ax, o in enumerate(t.deriv[1]):
-            if o == 0:
-                continue
-            mult = (1j * k_list[ax]) ** o
-            if o % 2 == 1:
-                mult = _zero_nyquist(mult, ax, shapes)
-            mults.append(_broadcast(mult, ax, len(shapes)))
-        multipliers[t.deriv] = mults
-
-    def _irfft(g):
-        if len(shapes) == 1:
-            return np.fft.irfft(g, n=shapes[0])
-        return np.fft.irfft2(g, s=shapes)
-
-    def rhs(vs):
-        vs = [v * masks for v in vs]
-        powers = power_tables({f: _irfft(v) for f, v in zip(fields, vs)}, degrees)
-        derivs = {}
-        for key, mults in multipliers.items():
-            g = vs[fields.index(key[0])]
-            for mult in mults:
-                g = g * mult
-            derivs[key] = _irfft(g)
-        outs = []
-        for m in models:
-            acc = np.zeros(shapes)
-            for t, c in zip(m.terms, m.coefficients):
-                acc = acc + c * t.evaluate(powers, derivs)
-            g = np.fft.rfft(acc) if len(shapes) == 1 else np.fft.rfft2(acc)
-            outs.append(g * masks)
-        return outs
-
-    return rhs
-
-
-def _broadcast(mult, axis, ndim):
-    if ndim == 1:
-        return mult
-    return mult[:, None] if axis == 0 else mult[None, :]
-
-
-def _zero_nyquist(mult, axis, shapes):
-    mult = mult.copy()
-    if len(shapes) == 1:
-        mult[-1] = 0.0
-    else:
-        n = shapes[axis]
-        if n % 2 == 0:
-            if axis == 0:
-                mult[n // 2] = 0.0
-            else:
-                mult[-1] = 0.0
-    return mult
-
-
-def integrate_model(models, initial: Dataset, integrator: str = "auto",
-                    dt: float | None = None, rtol: float = 1e-6,
-                    atol: float = 1e-8) -> Dataset:
-    """Method-of-lines integration of one or more discovered models.
-
-    The initial condition and the output time axis come from `initial`; the
-    returned Dataset is aligned with it slice for slice. Periodic single-field
-    models use ETDRK4 on the even pure-derivative subset; coupled 2D systems
-    use adaptive RK45; Dirichlet fields use RK4 over ghost-closure stencils.
-    On blow-up the partial trajectory is attached to the raised error.
-    """
-    if isinstance(models, DiscoveredModel):
-        models = [models]
-    fields = [m.target_field for m in models]
-    for f in fields:
-        if f not in initial.fields:
-            raise DatasetError(f"initial dataset lacks field '{f}'")
-    periodic = all(initial.boundary[f] == "periodic" for f in fields)
-    n_out = initial.time_axis.count
-    out_dt = initial.time_axis.spacing
-
-    if not periodic:
-        if len(models) != 1 or initial.ndim_space != 1:
-            raise DatasetError("bounded integration supports a single 1D field")
-        model = models[0]
-        dx = initial.space_axes[0].spacing
-        if dt is None:
-            bound = _fd_stability_step(model, dx)
-            stride = max(1, int(math.ceil(out_dt / bound)))
-            dt = out_dt / stride
-        else:
-            stride = max(1, int(round(out_dt / dt)))
-            dt = out_dt / stride
-        u0 = initial.fields[model.target_field][..., 0]
-        u = _integrate_fd_rk4(model, u0, dx, dt, stride, n_out)
-        return Dataset(initial.space_axes, initial.time_axis,
-                       {model.target_field: u},
-                       {model.target_field: initial.boundary[model.target_field]},
-                       {"integrated_model": [m.to_json_dict() for m in models],
-                        "dt": dt, "stride": stride})
-
-    if initial.ndim_space == 1:
-        if len(models) != 1:
-            raise DatasetError("1D integration expects a single model")
-        model = models[0]
-        axis = initial.space_axes[0]
-        n = axis.count
-        length = n * axis.spacing
-        k = _rfft_wavenumbers(n, length)
-        mask = _dealias_mask(n)
-        lin, nonlinear = _split_linear(model, k)
-        nl_model = DiscoveredModel(tuple(t for t, _ in nonlinear),
-                                   np.array([c for _, c in nonlinear]),
-                                   model.target_field, 0.0) if nonlinear else None
-        rhs = (_spectral_term_rhs([nl_model], [k], mask, (n,))
-               if nl_model is not None else None)
-
-        def nonlin(v):
-            if rhs is None:
-                return np.zeros_like(v)
-            return rhs([v])[0]
-
-        if dt is None:
-            dt = out_dt
-        stride = max(1, int(round(out_dt / dt)))
-        u0 = initial.fields[model.target_field][..., 0]
-        u = _run_etdrk4(lin, nonlin, u0, out_dt / stride, stride, n_out)
-        return Dataset(initial.space_axes, initial.time_axis,
-                       {model.target_field: u}, {model.target_field: "periodic"},
-                       {"integrated_model": [m.to_json_dict() for m in models],
-                        "dt": out_dt / stride})
-
-    # coupled 2D periodic system via adaptive RK45 in spectral space; pure
-    # even self-derivative terms act diagonally on the unmasked spectrum so
-    # above-cutoff content is damped rather than frozen
-    nx, ny = (a.count for a in initial.space_axes)
-    lx = nx * initial.space_axes[0].spacing
-    ly = ny * initial.space_axes[1].spacing
-    kx = 2 * np.pi * np.fft.fftfreq(nx, d=lx / nx)
-    ky = 2 * np.pi * np.fft.rfftfreq(ny, d=ly / ny)
-    mx = np.abs(kx) <= (2.0 / 3.0) * np.abs(kx).max()
-    my = ky <= (2.0 / 3.0) * ky.max()
-    mask = mx[:, None] & my[None, :]
-    nh = nx * (ny // 2 + 1)
-    lins = []
-    nl_models = []
-    for m in models:
-        lin = np.zeros((nx, ny // 2 + 1))
-        rest = []
-        for t, c in zip(m.terms, m.coefficients):
-            if (not t.powers and t.deriv is not None and t.deriv[0] == m.target_field
-                    and all(o % 2 == 0 for o in t.deriv[1])):
-                ox, oy = t.deriv[1]
-                lin = lin + c * (((1j * kx) ** ox).real[:, None]
-                                 * ((1j * ky) ** oy).real[None, :])
-            else:
-                rest.append((t, c))
-        lins.append(lin)
-        nl_models.append(DiscoveredModel(tuple(t for t, _ in rest),
-                                         np.array([c for _, c in rest]),
-                                         m.target_field, 0.0))
-    rhs2 = _spectral_term_rhs(nl_models, [kx, ky], mask, (nx, ny))
-
-    def rhs(_t, z):
-        vs = [z[i * nh:(i + 1) * nh].reshape(nx, ny // 2 + 1) for i in range(len(models))]
-        outs = rhs2(vs)
-        return np.concatenate([(o + lin * v).ravel()
-                               for o, lin, v in zip(outs, lins, vs)])
-
-    z0 = np.concatenate([np.fft.rfft2(initial.fields[f][..., 0]).ravel() for f in fields])
-    t_eval = out_dt * np.arange(n_out)
-    sol = solve_ivp(rhs, (0.0, t_eval[-1]), z0, method="RK45", t_eval=t_eval,
-                    rtol=rtol, atol=atol)
-    if sol.status != 0 or sol.y.shape[1] != n_out:
-        raise SolverInstability(f"adaptive integration failed: {sol.message}", None)
-    out_fields = {}
-    for i, f in enumerate(fields):
-        arr = np.empty((nx, ny, n_out))
-        for j in range(n_out):
-            arr[:, :, j] = np.fft.irfft2(
-                sol.y[i * nh:(i + 1) * nh, j].reshape(nx, ny // 2 + 1), s=(nx, ny))
-        out_fields[f] = arr
-    return Dataset(initial.space_axes, initial.time_axis, out_fields,
-                   {f: "periodic" for f in fields},
-                   {"integrated_model": [m.to_json_dict() for m in models]})

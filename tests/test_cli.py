@@ -109,6 +109,14 @@ class TestErrors:
         assert main(["generate", "kdv", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 4
 
+    def test_mismatched_config_exit_four(self, tmp_path, capsys):
+        cfg = tmp_path / "kdv.json"
+        cfg.write_text(json.dumps(TINY_KDV))
+        assert main(["generate", "burgers-hyper", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 4
+        assert "'kdv'" in capsys.readouterr().err
+        assert not (tmp_path / "burgers-hyper.json").exists()
+
     def test_missing_data_exit_four(self, tmp_path):
         assert main(["discover", "--data", str(tmp_path / "missing"),
                      "--benchmark", "kdv", "--out", str(tmp_path / "o")]) == 4

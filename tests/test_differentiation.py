@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from bgsindy import Axis, Dataset, DatasetError, DerivativeSpec
+from bgsindy import Axis, Dataset, DatasetError, LibrarySpec, build_library, subsample
 from bgsindy.differentiation import (bump_filter, bump_kernel, corner_half_width,
-                                     fd_derivative, fd_diff, fornberg_weights,
-                                     sg_smooth, smooth_field, spectral_derivative,
+                                     fd_diff, fornberg_weights, sg_smooth,
                                      spectral_diff, time_derivative)
 
 
@@ -26,8 +25,7 @@ class TestFornberg:
 
 class TestFdDerivative:
     def test_constant_field_zero(self):
-        ds = dataset_1d(np.full((32, 8), 3.7))
-        d = fd_derivative(ds, DerivativeSpec("u", "x", 1))
+        d = fd_diff(np.full((32, 8), 3.7), 0, 0.1, 1)
         assert np.abs(d).max() < 1e-12
 
     def test_cubic_exact_second_derivative(self):
@@ -35,28 +33,24 @@ class TestFdDerivative:
         # derivative 6x to round-off, including the one-sided boundary rows
         x = np.linspace(0.0, 1.0, 40)
         u = np.tile((x ** 3)[:, None], (1, 6))
-        ds = dataset_1d(u, dx=x[1] - x[0])
-        d = fd_derivative(ds, DerivativeSpec("u", "x", 2, fd_accuracy=4))
+        d = fd_diff(u, 0, x[1] - x[0], 2, accuracy=4)
         assert np.abs(d - 6 * x[:, None]).max() < 1e-10
 
     def test_sin_first_derivative_accuracy(self):
         n = 256
         dx = 2 * np.pi / n
         x = dx * np.arange(n)
-        ds = dataset_1d(np.tile(np.sin(x)[:, None], (1, 4)), dx=dx,
-                        boundary="periodic")
-        d = fd_derivative(ds, DerivativeSpec("u", "x", 1, fd_accuracy=4))
+        d = fd_diff(np.tile(np.sin(x)[:, None], (1, 4)), 0, dx, 1, accuracy=4,
+                    periodic=True)
         assert np.abs(d[:, 0] - np.cos(x)).max() < 1e-6
 
     def test_axis_too_short(self):
-        ds = dataset_1d(np.zeros((5, 4)))
         with pytest.raises(DatasetError, match="too short"):
-            fd_derivative(ds, DerivativeSpec("u", "x", 3, fd_accuracy=4))
+            fd_diff(np.zeros((5, 4)), 0, 0.1, 3, accuracy=4)
 
     def test_unsupported_accuracy(self):
-        ds = dataset_1d(np.zeros((32, 4)))
         with pytest.raises(DatasetError):
-            fd_derivative(ds, DerivativeSpec("u", "x", 1, fd_accuracy=10))
+            fd_diff(np.zeros((32, 4)), 0, 0.1, 1, accuracy=10)
 
     def test_linearity(self, rng):
         f = rng.standard_normal((48, 5))
@@ -74,9 +68,7 @@ class TestSpectralDerivative:
         x = length * np.arange(n) / n
         for f, df in ((np.cos(3 * x), -3 * np.sin(3 * x)),
                       (np.sin(3 * x), 3 * np.cos(3 * x))):
-            ds = dataset_1d(np.tile(f[:, None], (1, 4)), dx=length / n,
-                            boundary="periodic")
-            d = spectral_derivative(ds, DerivativeSpec("u", "x", 1, "spectral"))
+            d = spectral_diff(np.tile(f[:, None], (1, 4)), 0, length / n, 1)
             assert np.abs(d[:, 0] - df).max() < 1e-12
 
     def test_cos_x16_fourth_derivative(self):
@@ -84,21 +76,21 @@ class TestSpectralDerivative:
         n = 512
         length = 32 * np.pi
         x = length * np.arange(n) / n
-        ds = dataset_1d(np.tile(np.cos(x / 16)[:, None], (1, 4)),
-                        dx=length / n, boundary="periodic")
-        d = spectral_derivative(ds, DerivativeSpec("u", "x", 4, "spectral"))
+        d = spectral_diff(np.tile(np.cos(x / 16)[:, None], (1, 4)), 0, length / n, 4)
         expect = (1 / 16) ** 4 * np.cos(x / 16)
         # round-off floor scales with the unit-amplitude input, not the output
         assert np.abs(d[:, 0] - expect).max() < 1e-10
 
     def test_order_zero_rejected(self):
         with pytest.raises(DatasetError):
-            DerivativeSpec("u", "x", 0, "spectral")
+            spectral_diff(np.zeros((32, 4)), 0, 0.1, 0)
 
     def test_non_periodic_rejected(self):
         ds = dataset_1d(np.zeros((32, 4)))
-        with pytest.raises(DatasetError, match="not periodic"):
-            spectral_derivative(ds, DerivativeSpec("u", "x", 1, "spectral"))
+        samples = subsample(ds, ds.total_points, "all")
+        spec = LibrarySpec(poly_degree=1, deriv_order=1, method="spectral")
+        with pytest.raises(DatasetError, match="periodic"):
+            build_library(ds, samples, spec, "u")
 
     def test_agrees_with_fd_on_smooth_field(self):
         n = 128
@@ -133,8 +125,7 @@ class TestSmoothing:
     def test_polynomial_reproduction(self):
         x = np.linspace(0, 1, 50)
         u = np.tile((2 + x - 3 * x ** 2 + 0.5 * x ** 3)[:, None], (1, 20))
-        ds = dataset_1d(u, dx=x[1] - x[0])
-        sm = smooth_field(ds, "u", window=11, degree=3)
+        sm = sg_smooth(sg_smooth(u, 0, 11, 3), 1, 11, 3)
         assert np.abs(sm - u).max() < 1e-10
 
     def test_white_noise_reduction(self, rng):
@@ -145,13 +136,12 @@ class TestSmoothing:
 
     def test_window_one_identity(self, rng):
         u = rng.standard_normal((16, 8))
-        ds = dataset_1d(u)
-        assert np.array_equal(smooth_field(ds, "u", 1, 0), u)
+        for ax in (0, 1):
+            assert np.array_equal(sg_smooth(u, ax, 1, 0), u)
 
     def test_window_exceeds_axis(self):
-        ds = dataset_1d(np.zeros((8, 6)))
         with pytest.raises(DatasetError, match="exceeds"):
-            sg_smooth(ds.fields["u"], 0, 9, 2)
+            sg_smooth(np.zeros((8, 6)), 0, 9, 2)
 
     def test_degree_must_be_less_than_window(self):
         with pytest.raises(DatasetError):

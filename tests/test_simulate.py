@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bgsindy import (DiscoveredModel, SolverInstability, TermDescriptor,
+from bgsindy import (Axis, Dataset, DiscoveredModel, SolverInstability, TermDescriptor,
                      integrate_model, relative_l2)
-from bgsindy.simulate import (Etdrk4, default_config, kdv_initial_condition,
+from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark,
+                              kdv_initial_condition, rd2d_initial_condition,
                               reference_model, solve_burgers_hyper, solve_kdv,
-                              solve_modified_ks, solve_rd2d, _dealias_mask,
-                              _modified_ks_flux, _rd_reaction, _rfft_wavenumbers,
+                              solve_modified_ks, solve_rd2d, _spectral_grid,
                               _spectral_term_rhs)
 
 
@@ -146,7 +146,7 @@ class TestRd2d:
                     rtol=1e-10, atol=1e-12)
         u0, v0 = 0.3, -0.2
         ds = solve_rd2d_uniform(c, u0, v0)
-        sol = solve_ivp(lambda t, z: np.array(_rd_reaction(z[0], z[1])),
+        sol = solve_ivp(lambda t, z: np.array(rd_reaction(z[0], z[1])),
                         (0, 2.0), [u0, v0], rtol=1e-11, atol=1e-12,
                         t_eval=ds.time_axis.points())
         for j in (10, 25, 40):
@@ -166,6 +166,11 @@ class TestRd2d:
         d = (np.linalg.norm(a.fields["u"][:, :, -1] - b.fields["u"][:, :, -1])
              / np.linalg.norm(b.fields["u"][:, :, -1]))
         assert d < 1e-6
+
+
+def rd_reaction(u, v):
+    return (u + 0.5 * v**3 - u * v**2 + 0.5 * u**2 * v - u**3,
+            v - v**3 - 0.5 * u * v**2 - u**2 * v - 0.5 * u**3)
 
 
 def solve_rd2d_zero(config):
@@ -218,6 +223,17 @@ class TestIntegrateModel:
             with np.errstate(over="raise"):
                 integrate_model(bad, burgers_dataset)
 
+    def test_blowup_2d_raises(self):
+        # u_t = 20 u grows by e^20 over t = 1: past the blow-up limit, far
+        # from overflow
+        axes = (Axis(0.0, 0.25, 16), Axis(0.0, 0.25, 16))
+        x, y = np.meshgrid(axes[0].points(), axes[1].points(), indexing="ij")
+        u0 = np.sin(np.pi * x / 2)[..., None] * np.ones(11)
+        initial = Dataset(axes, Axis(0.0, 0.1, 11), {"u": u0}, {"u": "periodic"})
+        growth = DiscoveredModel((TermDescriptor((("u", 1),)),), np.array([20.0]), "u", 0.0)
+        with pytest.raises(SolverInstability, match="blow-up"):
+            integrate_model(growth, initial)
+
 
 def assert_close_to_scale(got, ref, rtol=1e-13):
     """max |got - ref| within rtol of max |ref|: pointwise relative error is
@@ -225,78 +241,144 @@ def assert_close_to_scale(got, ref, rtol=1e-13):
     assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
-def power_formula_rhs(models, k_list, mask, shapes, spectra):
+def power_formula_rhs(models, ks, mask, shapes, spectra):
     """The spectral right-hand side with `**` powers and the derivative
-    multipliers built on every call."""
+    multipliers built on every call. A term f^p f_a is differentiated as the
+    flux f^(p+1) / (p+1)."""
     ndim = len(shapes)
     irfft = ((lambda g: np.fft.irfft(g, n=shapes[0])) if ndim == 1
              else (lambda g: np.fft.irfft2(g, s=shapes)))
+    rfft = np.fft.rfft if ndim == 1 else np.fft.rfft2
     spectra = {m.target_field: v * mask for m, v in zip(models, spectra)}
     fields = {f: irfft(v) for f, v in spectra.items()}
     outs = []
     for m in models:
         acc = np.zeros(shapes)
+        flux_spectrum = 0.0
         for t, c in zip(m.terms, m.coefficients):
+            if (t.deriv is not None and len(t.powers) == 1
+                    and t.powers[0][0] == t.deriv[0] and sum(t.deriv[1]) == 1):
+                (f, p), = t.powers
+                ik = 1j * ks[t.deriv[1].index(1)]
+                flux_spectrum = flux_spectrum + c * ik * rfft(fields[f] ** (p + 1)) / (p + 1)
+                continue
             term = np.ones(shapes)
             for f, p in t.powers:
                 term = term * fields[f] ** p
             if t.deriv is not None:
                 f, orders = t.deriv
                 g = spectra[f]
-                for ax, o in enumerate(orders):
-                    mult = (1j * k_list[ax]) ** o
-                    if o % 2 and shapes[ax] % 2 == 0:
-                        mult[-1 if ax == ndim - 1 else shapes[ax] // 2] = 0.0
-                    g = g * (mult if ndim == 1 or ax == 1 else mult[:, None])
+                for k, o in zip(ks, orders):
+                    g = g * (1j * k) ** o
                 term = term * irfft(g)
             acc = acc + c * term
-        outs.append((np.fft.rfft(acc) if ndim == 1 else np.fft.rfft2(acc)) * mask)
+        outs.append((rfft(acc) + flux_spectrum) * mask)
     return outs
 
 
 class TestMultiplyOnlyPowers:
     """Powers by repeated products against the `**` formulas, on random fields."""
 
-    def test_rd_reaction(self, rng):
-        u, v = rng.uniform(-1.5, 1.5, (2, 64, 64))
-        fu, fv = _rd_reaction(u, v)
-        assert_close_to_scale(fu, u + 0.5 * v**3 - u * v**2 + 0.5 * u**2 * v - u**3)
-        assert_close_to_scale(fv, v - v**3 - 0.5 * u * v**2 - u**2 * v - 0.5 * u**3)
-
-    def test_modified_ks_flux(self, rng):
-        u = rng.uniform(-3.0, 3.0, 128)
-        eps = 1e-6
-        assert_close_to_scale(_modified_ks_flux(u, eps),
-                              0.5 * u**2 + eps * (u**3 + u**4 + u**5 + u**6))
-
     def test_spectral_rhs_1d_powers_to_6_orders_1_to_4(self, rng):
         n = 64
-        k = _rfft_wavenumbers(n, 22.0)
-        mask = _dealias_mask(n)
+        ks, mask = _spectral_grid((Axis(0.0, 22.0 / n, n),))
         terms = [TermDescriptor((("u", p),), ("u", (o,)))
                  for p in range(7) for o in range(1, 5)]
         model = DiscoveredModel(tuple(terms), rng.standard_normal(len(terms)), "u", 0.0)
         v = np.fft.rfft(rng.uniform(-1.5, 1.5, n))
-        got = _spectral_term_rhs([model], [k], mask, (n,))([v])
-        ref = power_formula_rhs([model], [k], mask, (n,), [v])
+        got = _spectral_term_rhs([model], ks, mask, (n,))([v])
+        ref = power_formula_rhs([model], ks, mask, (n,), [v])
         assert_close_to_scale(got[0], ref[0])
 
     def test_spectral_rhs_coupled_rd2d(self, rng):
         nx, ny = 32, 24
-        kx = 2 * np.pi * np.fft.fftfreq(nx, d=3.0 / nx)
-        ky = 2 * np.pi * np.fft.rfftfreq(ny, d=3.0 / ny)
-        mask = ((np.abs(kx) <= (2.0 / 3.0) * np.abs(kx).max())[:, None]
-                & (ky <= (2.0 / 3.0) * ky.max())[None, :])
-        # plus odd-order derivative factors along each axis
-        extra = {"u": TermDescriptor((("v", 2),), ("u", (1, 0))),
-                 "v": TermDescriptor((("u", 1),), ("v", (1, 3)))}
+        ks, mask = _spectral_grid((Axis(0.0, 3.0 / nx, nx), Axis(0.0, 3.0 / ny, ny)))
+        # plus odd-order derivative factors along each axis, and a flux
+        extra = {"u": (TermDescriptor((("v", 2),), ("u", (1, 0))),
+                       TermDescriptor((("u", 2),), ("u", (0, 1)))),
+                 "v": (TermDescriptor((("u", 1),), ("v", (1, 3))),)}
         models = []
         for f in ("u", "v"):
             ref = reference_model("rd2d", f)
-            models.append(DiscoveredModel(ref.terms + (extra[f],),
-                                          np.append(ref.coefficients, 0.3), f, 0.0))
+            models.append(DiscoveredModel(ref.terms + extra[f],
+                                          np.append(ref.coefficients, [0.3] * len(extra[f])),
+                                          f, 0.0))
         spectra = [np.fft.rfft2(rng.uniform(-1.0, 1.0, (nx, ny))) for _ in models]
-        got = _spectral_term_rhs(models, [kx, ky], mask, (nx, ny))(spectra)
-        ref = power_formula_rhs(models, [kx, ky], mask, (nx, ny), spectra)
+        got = _spectral_term_rhs(models, ks, mask, (nx, ny))(spectra)
+        ref = power_formula_rhs(models, ks, mask, (nx, ny), spectra)
         for g, r in zip(got, ref):
             assert_close_to_scale(g, r)
+
+
+def hand_written_etdrk4(config, u0, lin, flux):
+    """A periodic 1D benchmark stepped with its own closure: the spectral
+    x-derivative of flux(u), dealiased before and after."""
+    n = config.counts[0]
+    length = config.bounds[0][1] - config.bounds[0][0]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    mask = np.arange(n // 2 + 1) <= (2 * (n // 2)) // 3
+    stepper = Etdrk4(lin(k), config.dt)
+
+    def nonlin(v):
+        u = np.fft.irfft(v * mask, n=n)
+        return 1j * k * (np.fft.rfft(flux(u)) * mask)
+
+    out = [u0]
+    v = np.fft.rfft(u0)
+    for _ in range(int(round(config.t_final / config.dt))):
+        v = stepper.step(v, nonlin)
+        out.append(np.fft.irfft(v, n=n))
+    return np.stack(out, axis=-1)
+
+
+class TestHandWrittenOracles:
+    """The generators against the benchmarks' hand-written right-hand sides,
+    on short horizons."""
+
+    def test_burgers_hyper(self):
+        c = replace(default_config("burgers-hyper"), t_final=2.0)
+        ds = generate_benchmark("burgers-hyper", c)
+        x = ds.space_axes[0].points()
+        ref = hand_written_etdrk4(c, np.cos(x / 16.0),
+                                  lambda k: -0.5 * k**2 - c.epsilon * k**4,
+                                  lambda u: -0.5 * u**2)
+        assert_close_to_scale(ds.fields["u"], ref, 1e-12)
+
+    def test_modified_ks(self):
+        c = replace(default_config("modified-ks"), t_final=2.0)
+        ds = generate_benchmark("modified-ks", c)
+        x = ds.space_axes[0].points()
+        eps = c.epsilon
+        ref = hand_written_etdrk4(
+            c, np.cos(3 * 2 * np.pi / 22.0 * x) - 0.5 * np.sin(2 * np.pi / 22.0 * x),
+            lambda k: k**2 - k**4,
+            lambda u: -(0.5 * u**2 + eps * (u**3 + u**4 + u**5 + u**6)))
+        assert_close_to_scale(ds.fields["u"], ref, 1e-12)
+
+    def test_rd2d(self):
+        c = replace(default_config("rd2d"), counts=(32, 32), t_final=2.0)
+        ds = generate_benchmark("rd2d", c)
+        (nx, ny), eps = c.counts, c.epsilon
+        lx, ly = (hi - lo for lo, hi in c.bounds)
+        kx = 2 * np.pi * np.fft.fftfreq(nx, d=lx / nx)
+        ky = 2 * np.pi * np.fft.rfftfreq(ny, d=ly / ny)
+        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+        mask = ((np.abs(kx) <= (2.0 / 3.0) * np.abs(kx).max())[:, None]
+                & (ky <= (2.0 / 3.0) * ky.max())[None, :])
+
+        def rhs(_t, z):
+            uh, vh = z.reshape(2, nx, ny // 2 + 1)
+            u, v = (np.fft.irfft2(w * mask, s=(nx, ny)) for w in (uh, vh))
+            fu, fv = rd_reaction(u, v)
+            return np.concatenate([(np.fft.rfft2(fu) * mask - eps * k2 * uh).ravel(),
+                                   (np.fft.rfft2(fv) * mask - eps * k2 * vh).ravel()])
+
+        u0, v0 = rd2d_initial_condition(*(a.points() for a in ds.space_axes))
+        z0 = np.concatenate([np.fft.rfft2(u0).ravel(), np.fft.rfft2(v0).ravel()])
+        t = ds.time_axis.points()
+        sol = solve_ivp(rhs, (0.0, c.t_final), z0, method="RK45", t_eval=t,
+                        rtol=c.rtol, atol=c.atol)
+        ref = sol.y.reshape(2, nx, ny // 2 + 1, t.size)
+        for i, f in enumerate(("u", "v")):
+            assert_close_to_scale(ds.fields[f],
+                                  np.fft.irfft2(ref[i], s=(nx, ny), axes=(0, 1)), 1e-12)
