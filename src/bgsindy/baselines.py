@@ -50,13 +50,9 @@ def _ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _stridge(x: np.ndarray, y: np.ndarray, lam: float, iters: int,
-             tol: float, normalize: bool = False) -> np.ndarray:
-    """Inner ridge + hard-threshold loop; thresholds apply to the working
-    coefficients (optionally in 2-norm-normalized column variables)."""
-    if normalize:
-        norms = np.linalg.norm(x, axis=0)
-        norms[norms == 0] = 1.0
-        x = x / norms
+             tol: float) -> np.ndarray:
+    """Inner ridge + hard-threshold loop; thresholds apply to the raw
+    coefficients."""
     w = _ridge(x, y, lam)
     big = np.abs(w) >= tol
     for _ in range(iters):
@@ -71,19 +67,18 @@ def _stridge(x: np.ndarray, y: np.ndarray, lam: float, iters: int,
     if big.any():
         w = np.zeros(x.shape[1])
         w[big] = np.linalg.lstsq(x[:, big], y, rcond=None)[0]
-    return w / norms if normalize else w
+    return w
 
 
 def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
                   search_iters: int = 10, inner_iters: int = 10, seed: int = 0,
-                  l0_penalty: float | None = None,
-                  normalize: bool = False) -> DiscoveredModel:
+                  l0_penalty: float | None = None) -> DiscoveredModel:
     """Threshold search for STRidge scored on a held-out split.
 
     The validation score is the squared misfit plus an l0 penalty per active
     term (default 1e-3 times the condition number of the training matrix).
     The winning support is refit by plain least squares on all data.
-    Thresholds act on raw coefficients by default, so terms whose true
+    Thresholds act on raw coefficients, so terms whose true
     coefficients sit below the explored thresholds are discarded.
     """
     if not 0 < split < 1:
@@ -107,10 +102,10 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
         r = y_te - x_te @ w
         return float(r @ r) + l0_penalty * int(np.count_nonzero(w))
 
-    w_best = _stridge(x_tr, y_tr, lam, inner_iters, 0.0, normalize)
+    w_best = _stridge(x_tr, y_tr, lam, inner_iters, 0.0)
     err_best = score(w_best)
     for it in range(search_iters):
-        w = _stridge(x_tr, y_tr, lam, inner_iters, tol, normalize)
+        w = _stridge(x_tr, y_tr, lam, inner_iters, tol)
         err = score(w)
         if err <= err_best:
             err_best, w_best = err, w

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, DatasetError, add_noise, sample_box, subsample
+from .core import Dataset, DatasetError, add_noise, from_entries, sample_box, subsample
 from .differentiation import sg_smooth
 from .library import (LibrarySpec, build_library, reduce_independent,
                       row_half_widths, row_margins)
@@ -26,67 +26,54 @@ def generate(benchmark: str, config=None) -> Dataset:
 
 
 def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
-    """Default discovery settings per benchmark.
+    """Default discovery settings per benchmark: one common recipe, with the
+    library bounds, time accuracy, smoothing and sampling that differ.
 
     The KdV grid radiates marginally resolved dispersive waves whose
     frequencies alias at the output cadence, so its recipe smooths lightly in
-    t and x before differentiating. Periodic benchmarks differentiate the raw
-    spectra directly. The reaction-diffusion recipe samples after the Gibbs
-    transient of the published non-periodic initial condition has decayed.
+    t and x before differentiating, and it uses every grid point. Periodic
+    benchmarks differentiate the raw spectra directly. The reaction-diffusion
+    recipe samples after the Gibbs transient of the published non-periodic
+    initial condition has decayed. Every call returns fresh dicts.
     """
-    if benchmark == "kdv":
-        return {
-            "benchmark": benchmark,
-            "target_field": "u",
-            "library": {"kind": "poly-deriv-1d", "poly_degree": 2, "deriv_order": 4,
-                        "fd_accuracy": 4, "time_accuracy": 4, "method": "auto"},
-            "smooth": [{"axis": "t", "window": 31, "degree": 3},
-                       {"axis": "x", "window": 7, "degree": 3}],
-            "sample": {"strategy": "all", "n": None, "seed": 0, "time_window": None},
-            "pruner": {"tau": 3.0, "epsilon_rel": 1e-6, "min_terms": 1,
-                       "record_full_trace": True},
-            "independence_tol": 1e-10,
-        }
-    if benchmark == "burgers-hyper":
-        return {
-            "benchmark": benchmark,
-            "target_field": "u",
-            "library": {"kind": "poly-deriv-1d", "poly_degree": 2, "deriv_order": 4,
-                        "fd_accuracy": 4, "time_accuracy": 6, "method": "auto"},
-            "smooth": [],
-            "sample": {"strategy": "uniform-random", "n": 100_000, "seed": 0,
-                       "time_window": None},
-            "pruner": {"tau": 3.0, "epsilon_rel": 1e-6, "min_terms": 1,
-                       "record_full_trace": True},
-            "independence_tol": 1e-10,
-        }
-    if benchmark == "modified-ks":
-        return {
-            "benchmark": benchmark,
-            "target_field": "u",
-            "library": {"kind": "poly-deriv-1d", "poly_degree": 10, "deriv_order": 10,
-                        "fd_accuracy": 4, "time_accuracy": 4, "method": "auto"},
-            "smooth": [],
-            "sample": {"strategy": "uniform-random", "n": 100_000, "seed": 0,
-                       "time_window": None},
-            "pruner": {"tau": 3.0, "epsilon_rel": 1e-6, "min_terms": 1,
-                       "record_full_trace": True},
-            "independence_tol": 1e-10,
-        }
-    if benchmark == "rd2d":
-        return {
-            "benchmark": benchmark,
-            "target_field": target_field,
-            "library": {"kind": "rd-2d", "poly_degree": 3, "deriv_order": 2,
-                        "fd_accuracy": 4, "time_accuracy": 4, "method": "auto"},
-            "smooth": [],
-            "sample": {"strategy": "uniform-random", "n": 100_000, "seed": 0,
-                       "time_window": [10, None]},
-            "pruner": {"tau": 3.0, "epsilon_rel": 1e-6, "min_terms": 1,
-                       "record_full_trace": True},
-            "independence_tol": 1e-10,
-        }
-    raise DatasetError(f"unknown benchmark {benchmark!r}")
+    changes = {
+        "kdv": {"library": {"poly_degree": 2, "deriv_order": 4},
+                "smooth": [{"axis": "t", "window": 31, "degree": 3},
+                           {"axis": "x", "window": 7, "degree": 3}],
+                "sample": {"strategy": "all", "n": None}},
+        "burgers-hyper": {"library": {"poly_degree": 2, "deriv_order": 4,
+                                      "time_accuracy": 6}},
+        "modified-ks": {"library": {"poly_degree": 10, "deriv_order": 10}},
+        "rd2d": {"library": {"kind": "rd-2d", "poly_degree": 3, "deriv_order": 2},
+                 "sample": {"time_window": [10, None]}},
+    }.get(benchmark)
+    if changes is None:
+        raise DatasetError(f"unknown benchmark {benchmark!r}")
+    common = {
+        "benchmark": benchmark,
+        "target_field": target_field,
+        "library": {"kind": "poly-deriv-1d", "time_accuracy": 4},
+        "smooth": [],
+        "sample": {"strategy": "uniform-random", "n": 100_000, "seed": 0,
+                   "time_window": None},
+        "pruner": {"tau": 3.0, "epsilon_rel": 1e-6},
+    }
+    return override_recipe(common, changes)
+
+
+def override_recipe(recipe: dict, overrides: dict) -> dict:
+    """The recipe with its entries overridden: a dict updates the recipe's
+    dict entry key by key, any other value replaces the entry. An entry the
+    recipe lacks raises DatasetError."""
+    unknown = sorted(set(overrides) - set(recipe))
+    if unknown:
+        raise DatasetError(f"unknown recipe entry {unknown[0]!r}")
+    out = dict(recipe)
+    for key, val in overrides.items():
+        if isinstance(val, dict) and isinstance(recipe[key], dict):
+            val = {**recipe[key], **val}
+        out[key] = val
+    return out
 
 
 def apply_smoothing(dataset: Dataset, field: str, passes) -> Dataset:
@@ -115,7 +102,7 @@ def build_reduced_library(dataset: Dataset, recipe: dict):
             if f != target:
                 work = apply_smoothing(work, f, recipe.get("smooth", []))
 
-    spec = LibrarySpec(**recipe["library"])
+    spec = from_entries(LibrarySpec, recipe["library"], "library")
     half_widths = row_half_widths(work, target, spec)
     margins = row_margins(work, target, half_widths)
     plan = recipe["sample"]
@@ -131,13 +118,13 @@ def build_reduced_library(dataset: Dataset, recipe: dict):
     samples = subsample(work, n, plan["strategy"], plan.get("seed", 0), window, margins)
 
     lib = build_library(work, samples, spec, target, half_widths)
-    return reduce_independent(lib, recipe.get("independence_tol", 1e-10))
+    return reduce_independent(lib)
 
 
 def run_discovery(dataset: Dataset, recipe: dict):
     """Smooth, sample, build, reduce, and prune. Returns (model, trace, library)."""
     lib = build_reduced_library(dataset, recipe)
-    config = PrunerConfig(**recipe.get("pruner", {}))
+    config = from_entries(PrunerConfig, recipe.get("pruner", {}), "pruner")
     model, trace = discover(lib, config)
     return model, trace, lib
 
@@ -171,10 +158,8 @@ def sweep_recipe(benchmark: str = "kdv") -> dict:
     nonlinear products biases them; averaging the evaluated products does
     not, because the PDE is linear in its coefficients.
     """
-    r = discovery_recipe(benchmark)
-    r["smooth"] = []
-    r["library"] = {**r["library"], "time_accuracy": 2, "test_function_degree": 4}
-    return r
+    return override_recipe(discovery_recipe(benchmark), {
+        "smooth": [], "library": {"time_accuracy": 2, "test_function_degree": 4}})
 
 
 def cell_seed(base_seed: int, i_gamma: int, i_n: int, rep: int) -> int:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import stlsq, train_stridge
-from .benchmarks import discovery_recipe, run_discovery, run_sweep, sweep_recipe
+from .benchmarks import (build_reduced_library, discovery_recipe, override_recipe,
+                         run_discovery, run_sweep, sweep_recipe)
 from .core import DatasetError, DiscoveredModel, load_dataset, save_dataset
 from .metrics import coefficient_error, relative_l2, structure_match
 from .simulate import (BenchmarkConfig, SolverInstability, default_config,
@@ -28,6 +29,13 @@ EXIT_OK = 0
 EXIT_STRUCTURE = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
+
+# Every parameter a baseline takes from --params, with its default.
+BASELINE_PARAMS = {
+    "stlsq": {"threshold": 0.1, "max_iter": 25},
+    "stridge": {"lam": 1e-5, "split": 0.8, "search_iters": 10, "inner_iters": 10,
+                "seed": 0, "l0_penalty": None},
+}
 
 
 class CliError(Exception):
@@ -87,15 +95,9 @@ def _load_recipe(args) -> dict:
             if "benchmark" not in overrides:
                 raise CliError("library spec without --benchmark must name one")
             recipe = discovery_recipe(overrides["benchmark"], args.target)
-        for key, val in overrides.items():
-            if isinstance(val, dict) and isinstance(recipe.get(key), dict):
-                recipe[key] = {**recipe[key], **val}
-            else:
-                recipe[key] = val
+        recipe = override_recipe(recipe, overrides)
     if recipe is None:
         raise CliError("discover needs --benchmark and/or --library-spec")
-    if args.tau is not None:
-        recipe["pruner"] = {**recipe["pruner"], "tau": args.tau}
     if args.target:
         recipe["target_field"] = args.target
     return recipe
@@ -103,6 +105,8 @@ def _load_recipe(args) -> dict:
 
 def cmd_discover(args) -> int:
     recipe = _load_recipe(args)
+    if args.tau is not None:
+        recipe["pruner"] = {**recipe["pruner"], "tau": args.tau}
     dataset = load_dataset(args.data)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -121,21 +125,16 @@ def cmd_discover(args) -> int:
 def cmd_baseline(args) -> int:
     recipe = _load_recipe(args)
     params = _read_json(args.params) if args.params else {}
+    defaults = BASELINE_PARAMS[args.method]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise CliError(f"unknown {args.method} parameter {unknown[0]!r}")
     dataset = load_dataset(args.data)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    from .benchmarks import build_reduced_library
     lib = build_reduced_library(dataset, recipe)
-    if args.method == "stlsq":
-        model = stlsq(lib, params.get("threshold", 0.1),
-                      params.get("max_iter", 25))
-    else:
-        model = train_stridge(lib, params.get("lam", 1e-5),
-                              params.get("split", 0.8),
-                              params.get("search_iters", 10),
-                              params.get("inner_iters", 10),
-                              params.get("seed", 0),
-                              params.get("l0_penalty"))
+    fit = stlsq if args.method == "stlsq" else train_stridge
+    model = fit(lib, **{**defaults, **params})
     _dump_json(outdir / "model.json", model.to_json_dict())
     _write_manifest(outdir, f"baseline-{args.method}", {**recipe, "params": params})
     if model.empty:
@@ -166,8 +165,7 @@ def cmd_validate(args) -> int:
         if benchmark == "rd2d":
             other = "v" if model.target_field == "u" else "u"
             models.append(reference_model(benchmark, other, epsilon=eps))
-        dt = meta["config"]["dt"] if benchmark == "kdv" else None
-        predicted = integrate_model(models, reference, dt=dt)
+        predicted = integrate_model(models, reference, dt=meta["config"]["dt"])
         out["relative_l2"] = {
             model.target_field: relative_l2(predicted, reference, model.target_field)}
     if args.out:
@@ -267,7 +265,6 @@ def build_parser() -> _Parser:
     b.add_argument("--benchmark")
     b.add_argument("--library-spec")
     b.add_argument("--target", default="u")
-    b.add_argument("--tau", type=float, default=None)
     b.add_argument("--params", help="JSON with method parameters")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_baseline)

@@ -8,7 +8,7 @@ a raw little-endian float64 binary so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,19 @@ SAMPLE_STRATEGIES = ("all", "uniform-random", "latin-hypercube")
 
 class DatasetError(ValueError):
     """Malformed dataset construction or persistence."""
+
+
+def from_entries(cls, entries: dict, what: str):
+    """`cls(**entries)` for a dataclass, with a DatasetError naming the first
+    unknown or missing entry instead of a TypeError."""
+    unknown = sorted(set(entries) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DatasetError(f"unknown {what} entry {unknown[0]!r}")
+    missing = [f.name for f in fields(cls) if f.name not in entries
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise DatasetError(f"{what} lacks entry {missing[0]!r}")
+    return cls(**entries)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ points together with the time-derivative target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -145,8 +144,6 @@ class LibrarySpec:
     kind: str = "poly-deriv-1d"
     poly_degree: int = 2
     deriv_order: int = 4
-    method: str = "auto"          # 'auto' | 'finite-difference' | 'spectral'
-    fd_accuracy: int = 4
     time_accuracy: int = 2
     test_function_degree: int | None = None
 
@@ -188,13 +185,6 @@ class Library:
     def term_names(self) -> list[str]:
         return [t.name for t in self.terms]
 
-    def to_csv(self, path) -> None:
-        header = ",".join(["target"] + self.term_names())
-        data = np.column_stack([self.target, self.matrix])
-        with open(Path(path), "w") as fh:
-            fh.write(header + "\n")
-            np.savetxt(fh, data, delimiter=",")
-
 
 def terms_for_spec(spec: LibrarySpec, target_field: str,
                    field_names: list[str] | None = None) -> list[TermDescriptor]:
@@ -222,23 +212,19 @@ def terms_for_spec(spec: LibrarySpec, target_field: str,
     return sorted(terms)
 
 
-def _space_derivative(dataset: Dataset, fname: str, orders: tuple[int, ...],
-                      spec: LibrarySpec) -> np.ndarray:
-    method = spec.method
-    if method == "auto":
-        method = "spectral" if dataset.boundary[fname] == "periodic" else "finite-difference"
+def _space_derivative(dataset: Dataset, fname: str, orders: tuple[int, ...]) -> np.ndarray:
+    """Spectral derivatives of a periodic field, 4th-order finite differences
+    of any other."""
+    periodic = dataset.boundary[fname] == "periodic"
     out = dataset.fields[fname]
     for ax, o in enumerate(orders):
         if o == 0:
             continue
         spacing = dataset.space_axes[ax].spacing
-        if method == "spectral":
-            if dataset.boundary[fname] != "periodic":
-                raise DatasetError(f"spectral derivatives need periodic field '{fname}'")
+        if periodic:
             out = spectral_diff(out, ax, spacing, o)
         else:
-            out = fd_diff(out, ax, spacing, o, spec.fd_accuracy,
-                          periodic=dataset.boundary[fname] == "periodic")
+            out = fd_diff(out, ax, spacing, o, accuracy=4)
     return out
 
 
@@ -303,7 +289,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
         sampled_derivs = {}
         for key in needed:
             fname, orders = key
-            full = _space_derivative(dataset, fname, orders, spec)
+            full = _space_derivative(dataset, fname, orders)
             sampled_derivs[key] = full.ravel()[idx]
         cols = [t.evaluate(powers, sampled_derivs) for t in terms]
         target = time_target().ravel()[idx]
@@ -323,7 +309,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                                periodic)[inner]
 
         powers = power_tables({f: dataset.fields[f] for f in names}, power_degrees(terms))
-        derivs = {key: _space_derivative(dataset, *key, spec) for key in needed}
+        derivs = {key: _space_derivative(dataset, *key) for key in needed}
         cols = [rows(t.evaluate(powers, derivs)) for t in terms]
         target = rows(time_target())
         diagnostics["test_function"] = {"degree": spec.test_function_degree,

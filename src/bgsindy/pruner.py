@@ -1,8 +1,9 @@
 """Balance-guided progressive pruning with residual-ratio model selection.
 
 Each iteration scores active terms by their sample-averaged share of the
-rowwise dominant contribution, removes the least important term, and refits.
-Selection stops at the step before the residual ratio first exceeds tau.
+rowwise dominant contribution, removes the least important term, and refits,
+down to one term. The model selected is the one from the step before the
+residual ratio first exceeds tau.
 """
 
 from __future__ import annotations
@@ -22,31 +23,24 @@ RES_FLOOR = 1e-30
 @dataclass(frozen=True)
 class PrunerConfig:
     tau: float = 3.0
-    epsilon: float | None = None      # None: relative, epsilon_rel * max|phi_ij xi_j|
-    epsilon_rel: float = 1e-12
-    min_terms: int = 1
-    record_full_trace: bool = True
+    epsilon_rel: float = 1e-12        # stabilizer, relative to max|phi_ij xi_j|
 
     def __post_init__(self):
         if self.tau <= 1:
             raise DatasetError("tau must be > 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise DatasetError("epsilon must be > 0")
         if self.epsilon_rel <= 0:
             raise DatasetError("epsilon_rel must be > 0")
-        if self.min_terms < 1:
-            raise DatasetError("min_terms must be >= 1")
 
 
-def importance(phi_active: np.ndarray, xi: np.ndarray, epsilon: float | None = None,
+def importance(phi_active: np.ndarray, xi: np.ndarray,
                epsilon_rel: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Local and global term importance.
 
     w_ij = |phi_ij xi_j| / (max_l |phi_il xi_l| + eps), W_j = mean_i w_ij.
-    Both lie in [0, 1]. With epsilon=None the stabilizer is relative to the
-    largest contribution in the active set, which keeps the scores invariant
-    under paired column/coefficient rescaling. The products phi_ij xi_j are
-    formed once; the row maxima and w come from them.
+    Both lie in [0, 1]. The stabilizer eps is epsilon_rel times the largest
+    contribution in the active set, which keeps the scores invariant under
+    paired column/coefficient rescaling. The products phi_ij xi_j are formed
+    once; the row maxima and w come from them.
     """
     phi_active = np.asarray(phi_active, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -55,11 +49,10 @@ def importance(phi_active: np.ndarray, xi: np.ndarray, epsilon: float | None = N
     w = phi_active * xi[np.newaxis, :]
     np.abs(w, out=w)
     rowmax = w.max(axis=1)
-    if epsilon is None:
-        gmax = rowmax.max()
-        epsilon = epsilon_rel * gmax if gmax > 0 else 1.0
+    gmax = rowmax.max()
+    epsilon = epsilon_rel * gmax if gmax > 0 else 1.0
     if epsilon <= 0:
-        raise DatasetError("epsilon must be > 0")
+        raise DatasetError("epsilon_rel must be > 0")
     rowmax += epsilon
     w /= rowmax[:, np.newaxis]
     return w, w.mean(axis=0)
@@ -76,11 +69,11 @@ class _ActiveSystem:
 
     The columns live in a column-major working copy that is compacted in
     place when a term is dropped; `library.matrix` is never written. Refits
-    of a tall system (N > 2M) go through a one-time QR compression
-    (N x M -> M x M), which leaves solutions unchanged up to round-off: the
-    R factor of [phi | y] holds R and Q^T y, so Q is never formed. Residuals
-    are always evaluated directly on the full data; the compressed form
-    condenses large-magnitude rows and wobbles at the round-off floor.
+    go through a one-time QR compression (N x M -> M x M), which leaves
+    solutions unchanged up to round-off: the R factor of [phi | y] holds R
+    and Q^T y, so Q is never formed. Residuals are always evaluated directly
+    on the full data; the compressed form condenses large-magnitude rows and
+    wobbles at the round-off floor.
     """
 
     def __init__(self, library: Library):
@@ -88,28 +81,22 @@ class _ActiveSystem:
         self.n = n
         self.k = m
         self.y = library.target
-        self.r = None
-        if n > 2 * m:
-            aug = np.empty((n, m + 1), order="F")
-            aug[:, :m] = library.matrix
-            aug[:, m] = self.y
-            r = scipy.linalg.qr(aug, mode="r", overwrite_a=True, check_finite=False)[0]
-            del aug     # before the working copy: keeps the peak memory down
-            self.r, self.qty = r[:m, :m], r[:m, m]
+        aug = np.empty((n, m + 1), order="F")
+        aug[:, :m] = library.matrix
+        aug[:, m] = self.y
+        r = scipy.linalg.qr(aug, mode="r", overwrite_a=True, check_finite=False)[0]
+        del aug     # before the working copy: keeps the peak memory down
+        self.r, self.qty = r[:m, :m], r[:m, m]
         self.cols = np.array(library.matrix, order="F")
 
     def fit(self, active: list[int]) -> np.ndarray:
-        if self.r is not None:
-            xi, _ = _svd_solve(self.r[:, active], self.qty)
-        else:
-            xi, _ = _svd_solve(self.cols[:, :self.k], self.y)
-        return xi
+        return _svd_solve(self.r[:, active], self.qty)[0]
 
-    def score(self, xi: np.ndarray, config: PrunerConfig) -> tuple[float, np.ndarray]:
+    def score(self, xi: np.ndarray, epsilon_rel: float) -> tuple[float, np.ndarray]:
         """Residual and global importances of the active set at xi."""
         phi = self.cols[:, :self.k]
         misfit = phi @ xi - self.y
-        _, W = importance(phi, xi, config.epsilon, config.epsilon_rel)
+        _, W = importance(phi, xi, epsilon_rel)
         return float(misfit @ misfit) / self.n, W
 
     def drop(self, j: int) -> None:
@@ -118,57 +105,43 @@ class _ActiveSystem:
         self.k -= 1
 
 
-def _ratio_triggers(res_prev: float, res_next: float, tau: float) -> bool:
-    if res_prev <= RES_FLOOR:
-        return res_next > RES_FLOOR
-    return res_next / res_prev > tau
+def _select(residuals: list[float], tau: float) -> int:
+    """The iteration before the first residual ratio above tau, or else before
+    the largest ratio. A ratio from a residual at or below RES_FLOOR counts as
+    infinite if the next residual is above it, and as 1 otherwise."""
+    ratios = []
+    for a, b in zip(residuals, residuals[1:]):
+        if a <= RES_FLOOR:
+            ratios.append(np.inf if b > RES_FLOOR else 1.0)
+        else:
+            ratios.append(b / a)
+    over = [i for i, r in enumerate(ratios) if r > tau]
+    if over:
+        return over[0]
+    return int(np.argmax(ratios)) if ratios else 0
 
 
 def discover(library: Library, config: PrunerConfig = PrunerConfig()
              ) -> tuple[DiscoveredModel, PruneTrace]:
-    """Run progressive pruning from the full active set and select the model.
-
-    The model selected is the one from the iteration immediately before the
-    first residual-ratio trigger; if the ratio never exceeds tau down to
-    min_terms, the iteration preceding the largest observed ratio is used.
-    With record_full_trace the pruning continues past the trigger so the
-    whole residual history is available.
-    """
+    """Prune progressively from the full active set down to one term, then
+    select the model from the residual history (`_select`)."""
     if library.n_terms < 1:
         raise DatasetError("empty library")
     system = _ActiveSystem(library)
     active = list(range(library.n_terms))
-    xi = system.fit(active)
-    res, W = system.score(xi, config)
     iterations: list[PruneIteration] = []
-    selected: int | None = None
     while True:
-        if len(active) <= config.min_terms:
+        xi = system.fit(active)
+        res, W = system.score(xi, config.epsilon_rel)
+        if len(active) == 1:
             iterations.append(PruneIteration(tuple(active), xi, W, None, res))
             break
         j = _argmin_with_tie_break(W)
         iterations.append(PruneIteration(tuple(active), xi, W, active[j], res))
         del active[j]
         system.drop(j)
-        xi = system.fit(active)
-        res_prev = res
-        res, W = system.score(xi, config)
-        if _ratio_triggers(res_prev, res, config.tau) and selected is None:
-            selected = len(iterations) - 1
-            if not config.record_full_trace:
-                iterations.append(PruneIteration(tuple(active), xi, W, None, res))
-                break
 
-    if selected is None:
-        res_seq = [it.residual for it in iterations]
-        ratios = []
-        for a, b in zip(res_seq, res_seq[1:]):
-            if a <= RES_FLOOR:
-                ratios.append(np.inf if b > RES_FLOOR else 1.0)
-            else:
-                ratios.append(b / a)
-        selected = int(np.argmax(ratios)) if ratios else 0
-
+    selected = _select([it.residual for it in iterations], config.tau)
     sel = iterations[selected]
     model = DiscoveredModel(
         tuple(library.terms[j] for j in sel.active),

@@ -217,12 +217,12 @@ class TestCriterion7PropertySuites:
         ok = True
         for seed in range(100):
             lib, _ = synthetic_library(n=300, m=6, k_true=2, noise=1e-4, seed=seed)
-            _, t1 = discover(lib, PrunerConfig(record_full_trace=True))
+            _, t1 = discover(lib, PrunerConfig())
             rng = np.random.default_rng(seed + 10_000)
             scales = 2.0 ** rng.integers(-8, 9, lib.n_terms)
             scaled = lib.matrix * scales[None, :]
             lib2 = dreplace(lib, matrix=scaled)
-            _, t2 = discover(lib2, PrunerConfig(record_full_trace=True))
+            _, t2 = discover(lib2, PrunerConfig())
             ok &= [it.removed for it in t1.iterations] == \
                   [it.removed for it in t2.iterations]
             ok &= t1.selected_iteration == t2.selected_iteration
@@ -234,7 +234,7 @@ class TestCriterion7PropertySuites:
                   rd_result["u"][1], rd_result["v"][1]]
         for seed in range(20):
             lib, _ = synthetic_library(n=500, m=8, k_true=3, noise=1e-4, seed=seed)
-            traces.append(discover(lib, PrunerConfig(record_full_trace=True))[1])
+            traces.append(discover(lib, PrunerConfig())[1])
         ok = True
         for trace in traces:
             res = trace.residuals

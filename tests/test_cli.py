@@ -1,16 +1,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bgsindy
 from bgsindy.cli import main
 
 TINY_KDV = {
     "benchmark": "kdv", "bounds": [[0.0, 2.0]], "counts": [260],
     "dt": 5e-4, "output_stride": 2, "epsilon": 4.84e-4, "t_final": 0.3,
-    "integrator": "rk4", "ic": "double-sech2", "rtol": 1e-6, "atol": 1e-8,
+    "rtol": 1e-6, "atol": 1e-8,
 }
 
 
@@ -117,14 +119,49 @@ class TestErrors:
         assert "'kdv'" in capsys.readouterr().err
         assert not (tmp_path / "burgers-hyper.json").exists()
 
+    def test_malformed_benchmark_config_exit_four(self, tmp_path, capsys):
+        # an unknown entry (here a knob of older configs) or a missing one
+        unknown = {**TINY_KDV, "integrator": "rk4"}
+        missing = {k: v for k, v in TINY_KDV.items() if k != "dt"}
+        for name, cfg in (("unknown", unknown), ("missing", missing)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["generate", "kdv", "--config", str(path),
+                         "--out", str(tmp_path / name)]) == 4
+        err = capsys.readouterr().err
+        assert "'integrator'" in err and "'dt'" in err
+
+    def test_unknown_library_spec_entry_exit_four(self, tiny_run, tmp_path, capsys):
+        _, data, _ = tiny_run
+        specs = ({"pruner": {"tua": 3}}, {"library": {"methd": "spectral"}},
+                 {"independence_tol": 1e-10})
+        for i, spec in enumerate(specs):
+            path = tmp_path / f"spec{i}.json"
+            path.write_text(json.dumps(spec))
+            assert main(["discover", "--data", str(data / "kdv"), "--benchmark", "kdv",
+                         "--library-spec", str(path), "--out", str(tmp_path / f"o{i}")]) == 4
+        err = capsys.readouterr().err
+        assert "'tua'" in err and "'methd'" in err and "'independence_tol'" in err
+
+    def test_unknown_baseline_param_exit_four(self, tiny_run, tmp_path, capsys):
+        _, data, _ = tiny_run
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"thresold": 0.5}))
+        assert main(["baseline", "--method", "stlsq", "--data", str(data / "kdv"),
+                     "--benchmark", "kdv", "--params", str(params),
+                     "--out", str(tmp_path / "b")]) == 4
+        assert "'thresold'" in capsys.readouterr().err
+
     def test_missing_data_exit_four(self, tmp_path):
         assert main(["discover", "--data", str(tmp_path / "missing"),
                      "--benchmark", "kdv", "--out", str(tmp_path / "o")]) == 4
 
     def test_console_script_wiring(self, tmp_path):
+        # run from the directory holding the package, installed or not
         proc = subprocess.run([sys.executable, "-m", "bgsindy.cli", "generate",
                                "kdv", "--config", "/nonexistent.json",
                                "--out", str(tmp_path)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              cwd=Path(bgsindy.__file__).resolve().parents[1])
         assert proc.returncode == 4
         assert "error" in proc.stderr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bgsindy import Axis, Dataset, DatasetError, LibrarySpec, build_library, subsample
+from bgsindy import Axis, Dataset, DatasetError
 from bgsindy.differentiation import (bump_filter, bump_kernel, corner_half_width,
                                      fd_diff, fornberg_weights, sg_smooth,
                                      spectral_diff, time_derivative)
@@ -84,13 +84,6 @@ class TestSpectralDerivative:
     def test_order_zero_rejected(self):
         with pytest.raises(DatasetError):
             spectral_diff(np.zeros((32, 4)), 0, 0.1, 0)
-
-    def test_non_periodic_rejected(self):
-        ds = dataset_1d(np.zeros((32, 4)))
-        samples = subsample(ds, ds.total_points, "all")
-        spec = LibrarySpec(poly_degree=1, deriv_order=1, method="spectral")
-        with pytest.raises(DatasetError, match="periodic"):
-            build_library(ds, samples, spec, "u")
 
     def test_agrees_with_fd_on_smooth_field(self):
         n = 128

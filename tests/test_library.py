@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSet,
                      TermDescriptor, add_noise, build_library, reduce_independent,
                      render_term, subsample)
-from bgsindy.benchmarks import build_reduced_library, sweep_recipe
+from bgsindy.benchmarks import build_reduced_library, discovery_recipe, sweep_recipe
 from bgsindy.differentiation import bump_kernel
 from bgsindy.library import row_half_widths, row_margins, terms_for_spec
 from bgsindy.simulate import reference_model
@@ -103,13 +105,21 @@ class TestBuildLibrary:
         assert a.terms == b.terms
         assert np.array_equal(a.matrix, b.matrix)
 
-    def test_csv_export(self, tmp_path):
-        ds = small_dataset()
-        s = subsample(ds, 20, "uniform-random")
-        lib = build_library(ds, s, LibrarySpec(poly_degree=1, deriv_order=1), "u")
-        lib.to_csv(tmp_path / "lib.csv")
-        header = (tmp_path / "lib.csv").read_text().splitlines()[0]
-        assert header == "target," + ",".join(lib.term_names())
+
+class TestRecipes:
+    def test_discovery_recipe_returns_fresh_dicts(self):
+        for bench in ("kdv", "burgers-hyper", "modified-ks", "rd2d"):
+            first = discovery_recipe(bench)
+            expected = copy.deepcopy(first)
+            first["library"]["poly_degree"] = 9
+            first["sample"]["seed"] = 7
+            first["pruner"]["tau"] = 5.0
+            for p in first["smooth"]:
+                p["window"] = 3
+            first["smooth"].append({"axis": "t", "window": 5, "degree": 2})
+            if first["sample"]["time_window"] is not None:
+                first["sample"]["time_window"][0] = 0
+            assert discovery_recipe(bench) == expected
 
 
 KDV_ROWS = LibrarySpec(poly_degree=2, deriv_order=4, test_function_degree=4)

@@ -27,7 +27,7 @@ class TestImportance:
     def test_single_row_formula(self):
         phi = np.array([[3.0, -1.0, 0.5]])
         xi = np.ones(3)
-        w, W = importance(phi, xi, epsilon=1e-15)
+        w, W = importance(phi, xi, epsilon_rel=1e-15)
         assert np.allclose(w[0], [1.0, 1 / 3, 1 / 6], atol=1e-12)
         assert np.allclose(W, w[0])
 
@@ -69,9 +69,8 @@ def reference_prune(lib, config):
     active = list(range(lib.n_terms))
     fit = least_squares(lib.matrix[:, active], lib.target)
     removed, residuals = [], [fit.residual]
-    while len(active) > config.min_terms:
-        _, W = importance(lib.matrix[:, active], fit.coefficients,
-                          config.epsilon, config.epsilon_rel)
+    while len(active) > 1:
+        _, W = importance(lib.matrix[:, active], fit.coefficients, config.epsilon_rel)
         removed.append(active.pop(int(np.flatnonzero(W == W.min())[-1])))
         fit = least_squares(lib.matrix[:, active], lib.target)
         residuals.append(fit.residual)
@@ -88,7 +87,7 @@ class TestPruneStep:
         matrix = lib.matrix.copy()
         matrix[:, 2] = 1e-300      # effectively dead column -> xi ~ 0
         lib2 = replace(lib, matrix=matrix)
-        _, trace = discover(lib2, PrunerConfig(record_full_trace=True))
+        _, trace = discover(lib2, PrunerConfig())
         assert trace.iterations[0].removed == 2
         assert trace.residuals[1] >= trace.residuals[0] - 1e-15
 
@@ -96,7 +95,7 @@ class TestPruneStep:
         # one prune step at a time (the reference loop) reproduces
         # discover's removal order exactly
         lib, _ = synthetic_library(n=2000, m=10, k_true=3, noise=1e-4, seed=5)
-        config = PrunerConfig(record_full_trace=True)
+        config = PrunerConfig()
         _, trace = discover(lib, config)
         removed_seq, _, _ = reference_prune(lib, config)
         trace_removed = [it.removed for it in trace.iterations if it.removed is not None]
@@ -108,7 +107,7 @@ class TestReferenceLoop:
     def test_discover_matches_reference_on_60_libraries(self):
         # tall (QR-compressed refits) and square-ish libraries, with dead
         # columns: one, or two for an exact tie at W = 0
-        config = PrunerConfig(record_full_trace=True)
+        config = PrunerConfig()
         for seed in range(60):
             rng = np.random.default_rng(seed)
             m = int(rng.integers(3, 11))
@@ -133,7 +132,7 @@ class TestReferenceLoop:
         for n in (2000, 15):
             lib, _ = synthetic_library(n=n, m=8, k_true=3, noise=1e-4, seed=5)
             matrix, target = lib.matrix.tobytes(), lib.target.tobytes()
-            discover(lib, PrunerConfig(record_full_trace=True))
+            discover(lib, PrunerConfig())
             assert lib.matrix.tobytes() == matrix
             assert lib.target.tobytes() == target
 
@@ -157,13 +156,13 @@ class TestDiscover:
 
     def test_residuals_non_decreasing(self):
         lib, _ = synthetic_library(n=1500, m=12, k_true=4, noise=1e-5, seed=3)
-        _, trace = discover(lib, PrunerConfig(record_full_trace=True))
+        _, trace = discover(lib, PrunerConfig())
         res = trace.residuals
         assert (np.diff(res) >= -1e-12 * np.maximum(res[:-1], 1e-300)).all()
 
     def test_full_trace_lengths(self):
         lib, _ = synthetic_library(m=6, k_true=2, noise=1e-6)
-        _, trace = discover(lib, PrunerConfig(record_full_trace=True))
+        _, trace = discover(lib, PrunerConfig())
         assert [len(it.active) for it in trace.iterations] == [6, 5, 4, 3, 2, 1]
 
     def test_determinism(self):
@@ -178,12 +177,12 @@ class TestDiscover:
         # scaling any column leaves the removal order and selection unchanged
         for seed in range(100):
             lib, _ = synthetic_library(n=300, m=6, k_true=2, noise=1e-4, seed=seed)
-            _, trace = discover(lib, PrunerConfig(record_full_trace=True))
+            _, trace = discover(lib, PrunerConfig())
             rng = np.random.default_rng(seed + 5000)
             scales = 2.0 ** rng.integers(-8, 9, lib.n_terms)
             scaled = lib.matrix * scales[None, :]
             lib2 = replace(lib, matrix=scaled)
-            _, trace2 = discover(lib2, PrunerConfig(record_full_trace=True))
+            _, trace2 = discover(lib2, PrunerConfig())
             assert [it.removed for it in trace.iterations] == \
                    [it.removed for it in trace2.iterations]
             assert trace.selected_iteration == trace2.selected_iteration
@@ -205,7 +204,7 @@ class TestDiscover:
 
     def test_trace_export(self, tmp_path):
         lib, _ = synthetic_library(m=5, k_true=2, noise=1e-6)
-        _, trace = discover(lib, PrunerConfig(record_full_trace=True))
+        _, trace = discover(lib, PrunerConfig())
         d = trace.to_json_dict()
         assert len(d["iterations"]) == len(trace.iterations)
         trace.to_csv(tmp_path / "t.csv")
@@ -218,6 +217,4 @@ class TestDiscover:
         with pytest.raises(DatasetError):
             PrunerConfig(tau=1.0)
         with pytest.raises(DatasetError):
-            PrunerConfig(epsilon=-1.0)
-        with pytest.raises(DatasetError):
-            PrunerConfig(min_terms=0)
+            PrunerConfig(epsilon_rel=0.0)

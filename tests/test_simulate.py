@@ -215,6 +215,20 @@ class TestIntegrateModel:
         assert pred.time_axis == kdv_dataset.time_axis
         assert pred.space_axes == kdv_dataset.space_axes
 
+    def test_dirichlet_model_of_any_field_name(self):
+        # w_t = -w w_x + 0.1 w_xx on 32 points runs exactly as the same model of u
+        axis = Axis(0.0, 1.0 / 31, 32)
+        u0 = np.sin(np.pi * axis.points())[:, None] * np.ones(5)
+        runs = []
+        for f in ("w", "u"):
+            model = DiscoveredModel((TermDescriptor(((f, 1),), (f, (1,))),
+                                     TermDescriptor((), (f, (2,)))),
+                                    np.array([-1.0, 0.1]), f, 0.0)
+            initial = Dataset((axis,), Axis(0.0, 0.01, 5), {f: u0},
+                              {f: "dirichlet-homogeneous"})
+            runs.append(integrate_model(model, initial).fields[f])
+        assert np.array_equal(runs[0], runs[1])
+
     def test_blowup_returns_diagnostic(self, burgers_dataset):
         # backward-diffusion model blows up immediately
         bad = DiscoveredModel((TermDescriptor((), ("u", (4,))),),
