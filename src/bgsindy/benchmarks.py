@@ -8,6 +8,8 @@ any entry.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import Dataset, DatasetError, add_noise, from_entries, sample_box, subsample
@@ -19,6 +21,16 @@ from .pruner import PrunerConfig, discover
 from .simulate import default_config, generate_benchmark, reference_model
 
 AXIS_INDEX = {"x": 0, "y": 1, "t": -1}
+
+
+@dataclass(frozen=True)
+class _SamplePlan:
+    """The recipe's `sample` entry: how `subsample` draws the rows. n None
+    takes every point of the box; time_window is [lo, hi] with None ends."""
+    strategy: str
+    n: int | None
+    seed: int = 0
+    time_window: list | None = None
 
 
 def generate(benchmark: str, config=None) -> Dataset:
@@ -105,17 +117,17 @@ def build_reduced_library(dataset: Dataset, recipe: dict):
     spec = from_entries(LibrarySpec, recipe["library"], "library")
     half_widths = row_half_widths(work, target, spec)
     margins = row_margins(work, target, half_widths)
-    plan = recipe["sample"]
-    window = plan.get("time_window")
+    plan = from_entries(_SamplePlan, recipe["sample"], "sample")
+    window = plan.time_window
     if window is not None:
         lo = window[0] or 0
         hi = window[1] if window[1] is not None else dataset.time_axis.count
         window = (lo, hi)
     total = int(np.prod([hi - lo for lo, hi in sample_box(work.shape, window, margins)]))
-    n = plan["n"] if plan["n"] is not None else total
-    if plan["strategy"] != "all":
+    n = plan.n if plan.n is not None else total
+    if plan.strategy != "all":
         n = min(n, total)
-    samples = subsample(work, n, plan["strategy"], plan.get("seed", 0), window, margins)
+    samples = subsample(work, n, plan.strategy, plan.seed, window, margins)
 
     lib = build_library(work, samples, spec, target, half_widths)
     return reduce_independent(lib)

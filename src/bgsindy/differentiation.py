@@ -87,10 +87,19 @@ def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
     return np.moveaxis(out, -1, axis)
 
 
-def spectral_diff(values: np.ndarray, axis: int, spacing: float, order: int) -> np.ndarray:
+def axis_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
+    """Real FFT along `axis`, moved to the last axis: the forward transform
+    that `spectral_diff` takes, for derivatives of several orders to share."""
+    return np.fft.rfft(np.moveaxis(values, axis, -1), axis=-1)
+
+
+def spectral_diff(values: np.ndarray, axis: int, spacing: float, order: int,
+                  spectrum: np.ndarray | None = None) -> np.ndarray:
     """Spectral derivative on a periodic axis: rfft, multiply by (ik)^q, irfft.
 
     For even point counts and odd orders the Nyquist mode is zeroed.
+    `spectrum`, when given, is `axis_spectrum(values, axis)`, and the
+    forward transform is not taken again.
     """
     if order < 1 or order > MAX_ORDER:
         raise DatasetError(f"derivative order must be in 1..{MAX_ORDER}")
@@ -99,8 +108,9 @@ def spectral_diff(values: np.ndarray, axis: int, spacing: float, order: int) -> 
     mult = (1j * k) ** order
     if m % 2 == 0 and order % 2 == 1:
         mult[-1] = 0.0
-    f = np.moveaxis(values, axis, -1)
-    out = np.fft.irfft(np.fft.rfft(f, axis=-1) * mult, n=m, axis=-1)
+    if spectrum is None:
+        spectrum = axis_spectrum(values, axis)
+    out = np.fft.irfft(spectrum * mult, n=m, axis=-1)
     return np.moveaxis(out, -1, axis)
 
 

@@ -7,13 +7,14 @@ points together with the time-derivative target.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .core import Dataset, DatasetError, SampleSet
-from .differentiation import (bump_filter, corner_half_width, fd_diff,
+from .differentiation import (axis_spectrum, bump_filter, corner_half_width, fd_diff,
                               spectral_diff, time_derivative)
 
 AXIS_LETTERS = ("x", "y")
@@ -212,20 +213,39 @@ def terms_for_spec(spec: LibrarySpec, target_field: str,
     return sorted(terms)
 
 
-def _space_derivative(dataset: Dataset, fname: str, orders: tuple[int, ...]) -> np.ndarray:
-    """Spectral derivatives of a periodic field, 4th-order finite differences
-    of any other."""
-    periodic = dataset.boundary[fname] == "periodic"
-    out = dataset.fields[fname]
-    for ax, o in enumerate(orders):
-        if o == 0:
-            continue
-        spacing = dataset.space_axes[ax].spacing
-        if periodic:
-            out = spectral_diff(out, ax, spacing, o)
-        else:
-            out = fd_diff(out, ax, spacing, o, accuracy=4)
-    return out
+def _space_derivatives(dataset: Dataset, keys):
+    """(key, derivative) for each (field, orders) key, in order.
+
+    A field that is not periodic gets 4th-order finite differences. A
+    periodic one is differentiated spectrally, one axis after the other, and
+    every forward transform of the same array along the same axis is taken
+    once, shared by every order taken there, and dropped after its last use:
+    one transform of u along x serves u_x, u_xx, ..., and the (1, 1) order
+    of a 2D field is the transform of u_x along y.
+    """
+    def steps(fname, orders):
+        done = [0] * len(orders)
+        for ax, o in enumerate(orders):
+            if o:
+                yield (fname, tuple(done), ax), ax, o
+                done[ax] = o
+
+    periodic = {f: dataset.boundary[f] == "periodic" for f, _ in keys}
+    uses = Counter(s for f, orders in keys if periodic[f] for s, _, _ in steps(f, orders))
+    spectra = {}
+    for fname, orders in keys:
+        values = dataset.fields[fname]
+        for skey, ax, o in steps(fname, orders):
+            spacing = dataset.space_axes[ax].spacing
+            if not periodic[fname]:
+                values = fd_diff(values, ax, spacing, o, accuracy=4)
+                continue
+            if skey not in spectra:
+                spectra[skey] = axis_spectrum(values, ax)
+            uses[skey] -= 1
+            spectrum = spectra[skey] if uses[skey] else spectra.pop(skey)
+            values = spectral_diff(values, ax, spacing, o, spectrum)
+        yield (fname, orders), values
 
 
 def _periodic_axes(dataset: Dataset, fname: str) -> tuple[bool, ...]:
@@ -286,11 +306,8 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
     if spec.test_function_degree is None:
         powers = power_tables({f: dataset.fields[f].ravel()[idx] for f in names},
                               power_degrees(terms))
-        sampled_derivs = {}
-        for key in needed:
-            fname, orders = key
-            full = _space_derivative(dataset, fname, orders)
-            sampled_derivs[key] = full.ravel()[idx]
+        sampled_derivs = {key: full.ravel()[idx]
+                          for key, full in _space_derivatives(dataset, needed)}
         cols = [t.evaluate(powers, sampled_derivs) for t in terms]
         target = time_target().ravel()[idx]
     else:
@@ -309,7 +326,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                                periodic)[inner]
 
         powers = power_tables({f: dataset.fields[f] for f in names}, power_degrees(terms))
-        derivs = {key: _space_derivative(dataset, *key) for key in needed}
+        derivs = dict(_space_derivatives(dataset, needed))
         cols = [rows(t.evaluate(powers, derivs)) for t in terms]
         target = rows(time_target())
         diagnostics["test_function"] = {"degree": spec.test_function_degree,

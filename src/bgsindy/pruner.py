@@ -32,30 +32,38 @@ class PrunerConfig:
             raise DatasetError("epsilon_rel must be > 0")
 
 
-def importance(phi_active: np.ndarray, xi: np.ndarray,
-               epsilon_rel: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def importance(phi_active: np.ndarray, xi: np.ndarray, epsilon_rel: float = 1e-12,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Local and global term importance.
 
     w_ij = |phi_ij xi_j| / (max_l |phi_il xi_l| + eps), W_j = mean_i w_ij.
     Both lie in [0, 1]. The stabilizer eps is epsilon_rel times the largest
     contribution in the active set, which keeps the scores invariant under
-    paired column/coefficient rescaling. The products phi_ij xi_j are formed
-    once; the row maxima and w come from them.
+    paired column/coefficient rescaling. a = |phi xi| is formed once, in
+    `out` when given (a column-major N x K array, such as the leading
+    columns of a column-major buffer) and else in a new one; with
+    r = 1 / (rowmax + eps), W = r^T a / N is one matrix-vector product, and
+    w = a r is scaled in place. The returned w is `out`.
     """
     phi_active = np.asarray(phi_active, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     if xi.size == 0 or phi_active.ndim != 2 or phi_active.shape[1] != xi.size:
         raise DatasetError("importance needs an N x K matrix and K coefficients")
-    w = phi_active * xi[np.newaxis, :]
-    np.abs(w, out=w)
-    rowmax = w.max(axis=1)
-    gmax = rowmax.max()
+    if out is None:
+        out = np.empty(phi_active.shape, order="F")
+    a = np.multiply(phi_active, xi, out=out)
+    np.abs(a, out=a)
+    r = a.max(axis=1)
+    gmax = r.max()
     epsilon = epsilon_rel * gmax if gmax > 0 else 1.0
-    if epsilon <= 0:
-        raise DatasetError("epsilon_rel must be > 0")
-    rowmax += epsilon
-    w /= rowmax[:, np.newaxis]
-    return w, w.mean(axis=0)
+    if not epsilon * np.finfo(np.float64).max > 1.0:     # 1 / eps must be finite
+        raise DatasetError("the stabilizer epsilon_rel * max|phi_ij xi_j| underflows")
+    r += epsilon
+    np.divide(1.0, r, out=r)
+    W = r @ a
+    W /= a.shape[0]
+    a *= r[:, np.newaxis]
+    return a, W
 
 
 def _argmin_with_tie_break(W: np.ndarray) -> int:
@@ -68,10 +76,12 @@ class _ActiveSystem:
     """The active columns of a library and the LS refits against them.
 
     The columns live in a column-major working copy that is compacted in
-    place when a term is dropped; `library.matrix` is never written. Refits
-    go through a one-time QR compression (N x M -> M x M), which leaves
-    solutions unchanged up to round-off: the R factor of [phi | y] holds R
-    and Q^T y, so Q is never formed. Residuals are always evaluated directly
+    place when a term is dropped; `library.matrix` is never written, and
+    `importance` forms |phi xi| in one buffer of the same shape, allocated
+    once. Refits go through a one-time QR compression (N x M -> M x M),
+    which leaves solutions unchanged up to round-off: the R factor of
+    [phi | y] holds R and Q^T y, so Q is never formed, and only a copy of
+    its top block is kept. Residuals are always evaluated directly
     on the full data; the compressed form condenses large-magnitude rows and
     wobbles at the round-off floor.
     """
@@ -86,8 +96,13 @@ class _ActiveSystem:
         aug[:, m] = self.y
         r = scipy.linalg.qr(aug, mode="r", overwrite_a=True, check_finite=False)[0]
         del aug     # before the working copy: keeps the peak memory down
-        self.r, self.qty = r[:m, :m], r[:m, m]
+        # only the top block is needed: copy it in the factor's own layout,
+        # so the refits see the same strides, and drop the N-row factor
+        top = r[:m + 1].copy(order="K")
+        del r
+        self.r, self.qty = top[:m, :m], top[:m, m]
         self.cols = np.array(library.matrix, order="F")
+        self.buf = np.empty((n, m), order="F")     # |phi xi| for `importance`
 
     def fit(self, active: list[int]) -> np.ndarray:
         return _svd_solve(self.r[:, active], self.qty)[0]
@@ -96,7 +111,7 @@ class _ActiveSystem:
         """Residual and global importances of the active set at xi."""
         phi = self.cols[:, :self.k]
         misfit = phi @ xi - self.y
-        _, W = importance(phi, xi, epsilon_rel)
+        _, W = importance(phi, xi, epsilon_rel, out=self.buf[:, :self.k])
         return float(misfit @ misfit) / self.n, W
 
     def drop(self, j: int) -> None:

@@ -239,23 +239,47 @@ class Etdrk4:
         lr = dt * lin[:, None] + np.exp(
             1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)[None, :]
         elr = np.exp(lr)
-        self.e_full = np.exp(dt * lin)
-        self.e_half = np.exp(0.5 * dt * lin)
-        self.q = dt * ((np.exp(lr / 2) - 1) / lr).mean(1).real
-        self.f1 = dt * ((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3).mean(1).real
-        self.f2_twice = 2 * dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(1).real
-        self.f3 = dt * ((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3).mean(1).real
+        coefficients = (
+            np.exp(dt * lin),
+            np.exp(0.5 * dt * lin),
+            dt * ((np.exp(lr / 2) - 1) / lr).mean(1).real,
+            dt * ((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3).mean(1).real,
+            2 * dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(1).real,
+            dt * ((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3).mean(1).real)
+        # real values stored complex: a real factor would be cast to the
+        # same complex values on every product
+        (self.e_full, self.e_half, self.q, self.f1, self.f2_twice,
+         self.f3) = (c.astype(complex) for c in coefficients)
 
     def step(self, v: np.ndarray, nonlin) -> np.ndarray:
+        """One step. The stage algebra runs in place on the step's own
+        buffers, in the operation order of the closed-form stages:
+        a = e_half v + q N(v), b = e_half v + q N(a),
+        c = e_half a + q (2 N(b) - N(v)), and
+        e_full v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c).
+        `nonlin` must return a new array and keep no reference to its input."""
+        e_half, q = self.e_half, self.q
         nv = nonlin(v)
-        ev = self.e_half * v
-        a = ev + self.q * nv
+        ev = e_half * v
+        a = q * nv
+        a += ev
         na = nonlin(a)
-        b = ev + self.q * na
+        b = q * na
+        b += ev
         nb = nonlin(b)
-        c = self.e_half * a + self.q * (2 * nb - nv)
+        c = 2 * nb
+        c -= nv
+        c *= q
+        np.multiply(e_half, a, out=a)
+        c += a
         nc = nonlin(c)
-        return self.e_full * v + nv * self.f1 + (na + nb) * self.f2_twice + nc * self.f3
+        out = self.e_full * v
+        out += np.multiply(nv, self.f1, out=a)
+        np.add(na, nb, out=b)
+        b *= self.f2_twice
+        out += b
+        out += np.multiply(nc, self.f3, out=c)
+        return out
 
 
 def _spectral_grid(space_axes):
@@ -312,13 +336,20 @@ def _spectral_term_rhs(models, ks, mask, shape):
     evaluated pointwise, the fluxes of a model are summed per axis, and the
     sum is differentiated once, by i k_a on its spectrum. Every other term
     is evaluated pointwise, its derivative factor taken through the spectral
-    multiplier (i k)^o. All multipliers, with the dealias mask folded in, are
-    built once here.
+    multiplier (i k)^o. The plan is built once here: the multipliers with
+    the dealias mask folded in, each field's power-table degree, and the
+    buffers the transforms write into, so a call builds one power table per
+    field; the returned spectra are new arrays. Spectra are dealiased on the
+    way to grid space by cutting the half-spectrum axis at the mask's last
+    mode (the inverse transform zero-pads it, which is bit-identical to the
+    mask there) and by the rest of the mask across the other axes.
     """
     if len(shape) == 1:
         forward, inverse = np.fft.rfft, partial(np.fft.irfft, n=shape[0])
     else:
         forward, inverse = np.fft.rfft2, partial(np.fft.irfft2, s=shape)
+    kept = int(mask.reshape(-1, mask.shape[-1]).any(axis=0).sum())
+    low = None if mask[..., :kept].all() else mask[..., :kept]
     fields = [m.target_field for m in models]
     plans = []
     deriv_mults = {}
@@ -334,7 +365,8 @@ def _spectral_term_rhs(models, ks, mask, shape):
                     for k, o in zip(ks, t.deriv[1]):
                         if o:
                             mult = mult * (1j * k) ** o
-                    deriv_mults[t.deriv] = (fields.index(t.deriv[0]), mult)
+                    deriv_mults[t.deriv] = (fields.index(t.deriv[0]), mult[..., :kept],
+                                            np.empty(shape))
             else:
                 (f, p), = t.powers
                 fluxes.setdefault(axis, []).append((TermDescriptor(((f, p + 1),)), c / (p + 1)))
@@ -342,18 +374,25 @@ def _spectral_term_rhs(models, ks, mask, shape):
         plans.append((_grouped(local), [(1j * ks[axis] * mask, _grouped(pairs))
                                         for axis, pairs in sorted(fluxes.items())]))
     degrees = power_degrees(evaluated)
+    field_plans = [(f, degrees.get(f, 1), np.empty(shape)) for f in fields]
+    spectrum = np.empty(mask.shape, dtype=complex)
     no_derivs = {}
 
+    def dealiased(v):
+        v = v[..., :kept]
+        return v if low is None else v * low
+
     def rhs(vs):
-        powers = {f: power_table(inverse(v * mask), degrees.get(f, 1))
-                  for f, v in zip(fields, vs)}
-        derivs = ({key: inverse(vs[i] * mult) for key, (i, mult) in deriv_mults.items()}
-                  if deriv_mults else no_derivs)
+        powers = {f: power_table(inverse(dealiased(v), out=grid), d)
+                  for (f, d, grid), v in zip(field_plans, vs)}
+        derivs = {key: inverse(vs[i][..., :kept] * mult, out=grid)
+                  for key, (i, mult, grid) in deriv_mults.items()}
         outs = []
         for v, (local, flux_plans) in zip(vs, plans):
-            out = forward(_weighted_sum(local, powers, derivs)) * mask if local else None
+            out = (forward(_weighted_sum(local, powers, derivs), out=spectrum) * mask
+                   if local else None)
             for mult, groups in flux_plans:
-                g = forward(_weighted_sum(groups, powers, no_derivs)) * mult
+                g = forward(_weighted_sum(groups, powers, no_derivs), out=spectrum) * mult
                 out = g if out is None else out + g
             outs.append(np.zeros_like(v) if out is None else out)
         return outs
@@ -398,10 +437,11 @@ def _spectral_slices(models, initial, space_axes, time_axis, dt, rtol, atol):
 
 
 def _etdrk4_steps(stepper, nonlin, v, n, stride, count):
+    u = np.empty(n)     # each slice is read before the next is requested
     for _ in range(count):
         for _ in range(stride):
             v = stepper.step(v, nonlin)
-        yield (np.fft.irfft(v, n=n),)
+        yield (np.fft.irfft(v, n=n, out=u),)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +470,7 @@ def _integrate(models, initial, space_axes, time_axis, boundary, dt, rtol, atol)
         out[f][..., 0] = initial[f]
     for j, values in enumerate(slices, start=1):
         for f, u in zip(fields, values):
-            if not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LIMIT:
+            if not np.abs(u).max() <= BLOWUP_LIMIT:    # NaN fails it too
                 raise SolverInstability(f"blow-up at output step {j}")
             out[f][..., j] = u
     return out, info

@@ -143,6 +143,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "'tua'" in err and "'methd'" in err and "'independence_tol'" in err
 
+    def test_unknown_sample_entry_exit_four(self, tiny_run, tmp_path, capsys):
+        _, data, _ = tiny_run
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"sample": {"sede": 3}}))
+        out = tmp_path / "o"
+        assert main(["discover", "--data", str(data / "kdv"), "--benchmark", "kdv",
+                     "--library-spec", str(path), "--out", str(out)]) == 4
+        assert "'sede'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_baseline_param_exit_four(self, tiny_run, tmp_path, capsys):
         _, data, _ = tiny_run
         params = tmp_path / "p.json"

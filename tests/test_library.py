@@ -8,7 +8,10 @@ from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSe
                      render_term, subsample)
 from bgsindy.benchmarks import build_reduced_library, discovery_recipe, sweep_recipe
 from bgsindy.differentiation import bump_kernel
-from bgsindy.library import row_half_widths, row_margins, terms_for_spec
+from bgsindy import library as library_module
+from bgsindy.differentiation import spectral_diff
+from bgsindy.library import (_space_derivatives, row_half_widths, row_margins,
+                             terms_for_spec)
 from bgsindy.simulate import reference_model
 
 
@@ -104,6 +107,56 @@ class TestBuildLibrary:
         b = build_library(ds, s, LibrarySpec(poly_degree=2, deriv_order=4), "u")
         assert a.terms == b.terms
         assert np.array_equal(a.matrix, b.matrix)
+
+
+class TestSharedTransforms:
+    """Derivatives that share one forward transform per array and axis
+    against `spectral_diff` taken order by order, axis by axis."""
+
+    @staticmethod
+    def per_order(ds, fname, orders):
+        out = ds.fields[fname]
+        for ax, o in enumerate(orders):
+            if o:
+                out = spectral_diff(out, ax, ds.space_axes[ax].spacing, o)
+        return out
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = library_module.axis_spectrum
+
+        def counting(values, axis):
+            calls.append(axis)
+            return original(values, axis)
+
+        monkeypatch.setattr(library_module, "axis_spectrum", counting)
+        return calls
+
+    def test_1d_orders_1_to_10_bit_equal_one_transform(self, monkeypatch):
+        ds = small_dataset(nx=64, nt=12)
+        keys = [("u", (o,)) for o in range(1, 11)]
+        calls = self.counted(monkeypatch)
+        got = dict(_space_derivatives(ds, keys))
+        assert calls == [0]
+        for key in keys:
+            assert np.array_equal(got[key], self.per_order(ds, *key))
+
+    def test_rd2d_orders_bit_equal_including_mixed(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        nx, ny = 16, 12
+        ds = Dataset((Axis(-1.5, 3 / nx, nx), Axis(-1.5, 3 / ny, ny)), Axis(0.0, 0.05, 6),
+                     {"u": rng.standard_normal((nx, ny, 6)),
+                      "v": rng.standard_normal((nx, ny, 6))},
+                     {"u": "periodic", "v": "periodic"})
+        keys = sorted((f, o) for f in ("u", "v")
+                      for o in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+        calls = self.counted(monkeypatch)
+        got = dict(_space_derivatives(ds, keys))
+        # per field: u along y, u along x, u_x along y
+        assert sorted(calls) == [0, 0, 1, 1, 1, 1]
+        for key in keys:
+            assert np.array_equal(got[key], self.per_order(ds, *key))
 
 
 class TestRecipes:

@@ -5,6 +5,7 @@ import pytest
 
 from bgsindy import (DatasetError, Library, LibrarySpec, PrunerConfig,
                      TermDescriptor, discover, importance, least_squares)
+from bgsindy.pruner import _ActiveSystem
 
 
 def synthetic_library(n=400, m=8, k_true=3, seed=0, noise=0.0):
@@ -60,6 +61,21 @@ class TestImportance:
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             importance(np.ones((3, 0)), np.array([]))
+
+    def test_gemv_mean_and_caller_buffer(self, rng):
+        # W from one matrix-vector product against the mean of the returned
+        # w, and the same bits whether w lands in a new array or a buffer
+        for n, k in ((7, 3), (1000, 15), (100_000, 30)):
+            phi = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, k)
+            xi = rng.standard_normal(k)
+            w, W = importance(phi, xi)
+            mean = w.mean(axis=0)
+            assert np.abs(W - mean).max() <= 1e-14 * np.abs(mean).max()
+            assert (np.abs(W - mean) <= 1e-14 * mean).all()
+            buf = np.empty((n, k + 4), order="F")
+            w2, W2 = importance(np.asfortranarray(phi), xi, out=buf[:, :k])
+            assert np.shares_memory(w2, buf)
+            assert np.array_equal(w2, w) and np.array_equal(W2, W)
 
 
 def reference_prune(lib, config):
@@ -135,6 +151,27 @@ class TestReferenceLoop:
             discover(lib, PrunerConfig())
             assert lib.matrix.tobytes() == matrix
             assert lib.target.tobytes() == target
+
+
+class TestActiveSystem:
+    def test_no_n_row_array_but_working_copy_and_buffer(self):
+        # the R factor of [phi | y] is N x (M + 1); only a copy of its top
+        # block may stay alive, not views into the whole factor
+        lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
+        system = _ActiveSystem(lib)
+        n_row = {}
+        for name, value in vars(system).items():
+            if not isinstance(value, np.ndarray):
+                continue
+            root = value
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            if root.shape[0] == lib.n_samples:
+                n_row[name] = root
+        assert n_row.pop("y") is lib.target
+        assert sorted(n_row) == ["buf", "cols"]
+        assert n_row["cols"] is not n_row["buf"]
+        assert system.r.base.shape == (lib.n_terms + 1, lib.n_terms + 1)
 
 
 class TestDiscover:

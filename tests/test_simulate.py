@@ -9,7 +9,7 @@ from bgsindy import (Axis, Dataset, DiscoveredModel, SolverInstability, TermDesc
 from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark,
                               kdv_initial_condition, rd2d_initial_condition,
                               reference_model, solve_burgers_hyper, solve_kdv,
-                              solve_modified_ks, solve_rd2d, _spectral_grid,
+                              solve_modified_ks, solve_rd2d, _integrate, _spectral_grid,
                               _spectral_term_rhs)
 
 
@@ -74,6 +74,33 @@ class TestBurgersHyper:
         u = np.fft.irfft(v, n=n)
         expect = np.exp(-0.5 * 9 * 5.0) * np.cos(3 * x)
         assert np.abs(u - expect).max() < 1e-12
+
+    def test_step_bit_equal_to_closed_form_stages(self, rng):
+        # the in-place stage algebra against the closed-form stage
+        # expressions with real coefficients, on random complex spectra
+        n = 65
+        lin = -rng.uniform(0.0, 50.0, n) + rng.uniform(0.0, 1.0, n)
+        stepper = Etdrk4(lin, dt=0.01)
+        e_full, e_half, q, f1, f2_twice, f3 = (
+            getattr(stepper, a).real
+            for a in ("e_full", "e_half", "q", "f1", "f2_twice", "f3"))
+        mix = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def nonlin(w):
+            return mix * w * np.conj(w[::-1]) - 0.3j * w
+
+        for _ in range(20):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            nv = nonlin(v)
+            a = e_half * v + q * nv
+            na = nonlin(a)
+            b = e_half * v + q * na
+            nb = nonlin(b)
+            c = e_half * a + q * (2 * nb - nv)
+            nc = nonlin(c)
+            expect = e_full * v + nv * f1 + (na + nb) * f2_twice + nc * f3
+            got = stepper.step(v, nonlin)
+            assert np.array_equal(got, expect)
 
     def test_bounded_run(self, burgers_dataset):
         # bound derived from a double-resolution reference run whose energy
@@ -236,6 +263,20 @@ class TestIntegrateModel:
         with pytest.raises((SolverInstability, FloatingPointError, OverflowError)):
             with np.errstate(over="raise"):
                 integrate_model(bad, burgers_dataset)
+
+    def test_non_finite_output_raises(self):
+        # a NaN or an infinity in an output slice fails the one-pass check
+        axis = Axis(0.0, 2 * np.pi / 16, 16)
+        time_axis = Axis(0.0, 0.1, 4)
+        model = DiscoveredModel((TermDescriptor((), ("u", (2,))),), np.array([0.1]),
+                                "u", 0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            u0 = np.sin(axis.points())
+            u0[3] = bad
+            with (pytest.raises(SolverInstability, match="blow-up at output step 1"),
+                  np.errstate(invalid="ignore")):
+                _integrate([model], {"u": u0}, (axis,), time_axis, {"u": "periodic"},
+                           0.1, 1e-6, 1e-8)
 
     def test_blowup_2d_raises(self):
         # u_t = 20 u grows by e^20 over t = 1: past the blow-up limit, far
