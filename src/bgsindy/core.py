@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 BOUNDARY_KINDS = ("periodic", "dirichlet-homogeneous")
-SAMPLE_STRATEGIES = ("all", "uniform-random", "latin-hypercube")
+SAMPLE_STRATEGIES = ("all", "uniform-random")
 
 
 class DatasetError(ValueError):
@@ -230,12 +230,9 @@ def subsample(dataset: Dataset, n: int, strategy: str = "uniform-random",
         raise DatasetError(f"unknown strategy {strategy!r}")
     shape = dataset.shape
     box = sample_box(shape, time_window, margins)
-    counts = [hi - lo for lo, hi in box]
-    box_total = int(np.prod(counts))
+    box_total = int(np.prod([hi - lo for lo, hi in box]))
     if not 1 <= n <= box_total:
         raise DatasetError(f"n={n} out of range (window holds {box_total} points)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
     if strategy == "all":
         if n != box_total:
             raise DatasetError("strategy 'all' requires n == total point count")
@@ -243,39 +240,9 @@ def subsample(dataset: Dataset, n: int, strategy: str = "uniform-random",
         idx = full[tuple(slice(lo, hi) for lo, hi in box)].ravel()
         return SampleSet(idx, seed, strategy, shape)
 
-    if strategy == "uniform-random":
-        flat_box = rng.choice(box_total, size=n, replace=False)
-        return SampleSet(_box_to_full(flat_box, shape, box), seed, strategy, shape)
-
-    # latin-hypercube: n strata per dimension, one point per stratum,
-    # snapped to the containing grid cell; collisions resolved by the
-    # nearest unused flat index of the box (outward search).
-    dims = len(counts)
-    coords = np.empty((n, dims), dtype=np.int64)
-    for d in range(dims):
-        perm = rng.permutation(n)
-        jitter = rng.random(n)
-        cont = (perm + jitter) / n          # in [0, 1)
-        coords[:, d] = np.minimum((cont * counts[d]).astype(np.int64), counts[d] - 1)
-    flat = np.ravel_multi_index(tuple(coords.T), counts)
-    used = set()
-    out = np.empty(n, dtype=np.int64)
-    for i, f in enumerate(flat):
-        g = int(f)
-        if g in used:
-            step = 1
-            while True:
-                for cand in (g + step, g - step):
-                    if 0 <= cand < box_total and cand not in used:
-                        g = cand
-                        break
-                else:
-                    step += 1
-                    continue
-                break
-        used.add(g)
-        out[i] = g
-    return SampleSet(_box_to_full(out, shape, box), seed, strategy, shape)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    flat_box = rng.choice(box_total, size=n, replace=False)
+    return SampleSet(_box_to_full(flat_box, shape, box), seed, strategy, shape)
 
 
 def _box_to_full(flat_box, shape, box):
@@ -408,7 +375,7 @@ class PruneTrace:
         for k, it in enumerate(self.iterations):
             name = "" if it.removed is None else self.term_names[it.removed]
             sel = 1 if k == self.selected_iteration else 0
-            w = {j: f"{v!r}" for j, v in zip(it.active, it.importances)}
+            w = {j: repr(float(v)) for j, v in zip(it.active, it.importances)}
             cells = [w.get(j, "") for j in range(len(self.term_names))]
             lines.append(",".join([str(k), str(len(it.active)), repr(it.residual),
                                    name, str(sel)] + cells))

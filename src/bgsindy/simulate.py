@@ -2,11 +2,11 @@
 
 A benchmark dataset is its reference model integrated from its initial
 condition by the code that reintegrates discovered models (`integrate_model`).
-Periodic fields use Fourier pseudo-spectral space discretization with 2/3-rule
-dealiasing, and ETDRK4 (update coefficients by contour quadrature) for one 1D
-field or adaptive RK45 for coupled 2D fields. Bounded fields (KdV) use RK4 over
-4th-order central differences with an antisymmetric ghost closure consistent
-with homogeneous Dirichlet walls.
+Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
+space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
+by contour quadrature). Bounded fields (KdV) use RK4 over 4th-order central
+differences with an antisymmetric ghost closure consistent with homogeneous
+Dirichlet walls.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import Axis, Dataset, DatasetError, DiscoveredModel, from_entries
 from .differentiation import fornberg_weights
@@ -34,12 +33,10 @@ class BenchmarkConfig:
     benchmark: str
     bounds: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
-    dt: float                      # solver step (output step for adaptive runs)
+    dt: float                      # solver step
     output_stride: int
     epsilon: float
     t_final: float
-    rtol: float = 1e-6
-    atol: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0 or self.output_stride < 1:
@@ -76,7 +73,7 @@ def default_config(benchmark: str, resolution: str = "half") -> BenchmarkConfig:
                                0.004, 1, 1e-6, 200.0)
     if benchmark == "rd2d":
         return BenchmarkConfig("rd2d", ((-1.5, 1.5), (-1.5, 1.5)), (256, 256),
-                               0.05, 1, 1e-3, 5.0)
+                               0.025, 2, 1e-3, 5.0)
     raise DatasetError(f"unknown benchmark {benchmark!r}")
 
 
@@ -233,19 +230,20 @@ def _fd_rk4_steps(model, u, dx, dt, stride, count):
 # periodic spectral machinery
 
 class Etdrk4:
-    """Fourth-order exponential time differencing for v_t = L v + N(v)."""
+    """Fourth-order exponential time differencing for v_t = L v + N(v), with
+    a diagonal symbol L of any shape."""
 
     def __init__(self, lin: np.ndarray, dt: float, n_contour: int = 64):
-        lr = dt * lin[:, None] + np.exp(
-            1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)[None, :]
+        lr = dt * lin[..., None] + np.exp(
+            1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
         elr = np.exp(lr)
         coefficients = (
             np.exp(dt * lin),
             np.exp(0.5 * dt * lin),
-            dt * ((np.exp(lr / 2) - 1) / lr).mean(1).real,
-            dt * ((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3).mean(1).real,
-            2 * dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(1).real,
-            dt * ((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3).mean(1).real)
+            dt * ((np.exp(lr / 2) - 1) / lr).mean(-1).real,
+            dt * ((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3).mean(-1).real,
+            2 * dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(-1).real,
+            dt * ((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3).mean(-1).real)
         # real values stored complex: a real factor would be cast to the
         # same complex values on every product
         (self.e_full, self.e_half, self.q, self.f1, self.f2_twice,
@@ -280,6 +278,14 @@ class Etdrk4:
         out += b
         out += np.multiply(nc, self.f3, out=c)
         return out
+
+
+def _transforms(shape):
+    """The real FFT over the space axes of `shape` and its inverse, both
+    writing to `out=` (numpy's irfft2 drops it; irfftn is the same transform)."""
+    if len(shape) == 1:
+        return np.fft.rfft, partial(np.fft.irfft, n=shape[0])
+    return np.fft.rfft2, partial(np.fft.irfftn, s=shape, axes=(-2, -1))
 
 
 def _spectral_grid(space_axes):
@@ -344,10 +350,7 @@ def _spectral_term_rhs(models, ks, mask, shape):
     mode (the inverse transform zero-pads it, which is bit-identical to the
     mask there) and by the rest of the mask across the other axes.
     """
-    if len(shape) == 1:
-        forward, inverse = np.fft.rfft, partial(np.fft.irfft, n=shape[0])
-    else:
-        forward, inverse = np.fft.rfft2, partial(np.fft.irfft2, s=shape)
+    forward, inverse = _transforms(shape)
     kept = int(mask.reshape(-1, mask.shape[-1]).any(axis=0).sum())
     low = None if mask[..., :kept].all() else mask[..., :kept]
     fields = [m.target_field for m in models]
@@ -400,68 +403,59 @@ def _spectral_term_rhs(models, ks, mask, shape):
     return rhs
 
 
-def _spectral_slices(models, initial, space_axes, time_axis, dt, rtol, atol):
-    """Pseudo-spectral integration of periodic fields: an iterator over the
-    output slices after the first, and the step settings. One 1D field steps
-    with ETDRK4 on its even pure-derivative terms; coupled 2D fields with
-    adaptive RK45, where those terms act on the unmasked spectrum so that
-    above-cutoff content is damped rather than frozen."""
+def _spectral_slices(models, initial, space_axes, time_axis, dt):
+    """Pseudo-spectral integration of periodic fields by ETDRK4 on their even
+    pure-derivative terms: an iterator over the output slices after the first,
+    and the step settings. One field steps on its spectrum; coupled fields
+    step as one stack of their spectra, under the stack of their symbols."""
     shape = tuple(a.count for a in space_axes)
     if len(shape) == 1 and len(models) != 1:
         raise DatasetError("1D integration expects a single model")
     ks, mask = _spectral_grid(space_axes)
     lins, rest = zip(*(_split_linear(m, ks) for m in models))
     nonlin = _spectral_term_rhs(rest, ks, mask, shape)
-    if len(shape) == 1:
-        stride = 1 if dt is None else max(1, int(round(time_axis.spacing / dt)))
-        dt = time_axis.spacing / stride
-        v0 = np.fft.rfft(initial[models[0].target_field])
-        return (_etdrk4_steps(Etdrk4(lins[0], dt), lambda v: nonlin([v])[0], v0, shape[0],
-                              stride, time_axis.count - 1), {"dt": dt})
-
-    def rhs(_t, z):
-        vs = [w.reshape(mask.shape) for w in np.split(z, len(models))]
-        return np.concatenate([(o + lin * v).ravel()
-                               for o, lin, v in zip(nonlin(vs), lins, vs)])
-
-    z0 = np.concatenate([np.fft.rfft2(initial[m.target_field]).ravel() for m in models])
-    t_eval = time_axis.spacing * np.arange(time_axis.count)
-    sol = solve_ivp(rhs, (0.0, t_eval[-1]), z0, method="RK45", t_eval=t_eval,
-                    rtol=rtol, atol=atol)
-    if sol.status != 0 or sol.y.shape[1] != time_axis.count:
-        raise SolverInstability(f"adaptive integration failed: {sol.message}")
-    slices = ([np.fft.irfft2(w.reshape(mask.shape), s=shape)
-               for w in np.split(sol.y[:, j], len(models))]
-              for j in range(1, time_axis.count))
-    return slices, {"nfev": int(sol.nfev)}
+    forward, inverse = _transforms(shape)
+    spectra = [forward(initial[m.target_field]) for m in models]
+    if len(models) == 1:
+        lin, v0, step_rhs = lins[0], spectra[0], lambda v: nonlin([v])[0]
+    else:
+        lin, v0, step_rhs = (np.stack(lins), np.stack(spectra),
+                             lambda v: np.stack(nonlin(list(v))))
+    stride = 1 if dt is None else max(1, int(round(time_axis.spacing / dt)))
+    dt = time_axis.spacing / stride
+    return (_etdrk4_steps(Etdrk4(lin, dt), step_rhs, v0, inverse, shape, stride,
+                          time_axis.count - 1), {"dt": dt})
 
 
-def _etdrk4_steps(stepper, nonlin, v, n, stride, count):
-    u = np.empty(n)     # each slice is read before the next is requested
+def _etdrk4_steps(stepper, nonlin, v, inverse, shape, stride, count):
+    """Step the spectrum v, one field's or a stack of fields', and yield each
+    output slice as one grid array per field."""
+    # each slice is read before the next is requested
+    u = np.empty(v.shape[:v.ndim - len(shape)] + shape)
+    fields = tuple(u.reshape((-1,) + shape))
     for _ in range(count):
         for _ in range(stride):
             v = stepper.step(v, nonlin)
-        yield (np.fft.irfft(v, n=n, out=u),)
+        inverse(v, out=u)
+        yield fields
 
 
 # ---------------------------------------------------------------------------
 # forward integration, shared by the benchmark solvers and discovered models
 
-def _integrate(models, initial, space_axes, time_axis, boundary, dt, rtol, atol):
+def _integrate(models, initial, space_axes, time_axis, boundary, dt):
     """Integrate the models from their initial fields over the time axis.
 
     `initial` maps each model's target field to its values on the space
-    grid, and `boundary` to its boundary kind. `dt` is the step of the
-    stepping integrators, rounded so that whole steps span each output
-    interval; adaptive RK45 takes `rtol` and `atol` instead. Returns the
+    grid, and `boundary` to its boundary kind. `dt` is the time step, rounded
+    so that whole steps span each output interval. Returns the
     trajectories, shaped space + time with `initial` as the first slice, and
     the step settings. Raises SolverInstability when a value at an output
     time is non-finite or beyond BLOWUP_LIMIT.
     """
     fields = [m.target_field for m in models]
     if all(boundary[f] == "periodic" for f in fields):
-        slices, info = _spectral_slices(models, initial, space_axes, time_axis,
-                                        dt, rtol, atol)
+        slices, info = _spectral_slices(models, initial, space_axes, time_axis, dt)
     else:
         slices, info = _fd_slices(models, initial, space_axes, time_axis, dt)
     out = {}
@@ -476,14 +470,14 @@ def _integrate(models, initial, space_axes, time_axis, boundary, dt, rtol, atol)
     return out, info
 
 
-def integrate_model(models, initial: Dataset, dt: float | None = None,
-                    rtol: float = 1e-6, atol: float = 1e-8) -> Dataset:
+def integrate_model(models, initial: Dataset, dt: float | None = None) -> Dataset:
     """Method-of-lines integration of one or more discovered models.
 
     The initial condition and the output time axis come from `initial`; the
-    returned Dataset is aligned with it slice for slice. Periodic single-field
-    1D models use ETDRK4 on the even pure-derivative subset; coupled 2D systems
-    use adaptive RK45; Dirichlet fields use RK4 over ghost-closure stencils.
+    returned Dataset is aligned with it slice for slice. Periodic fields, a 1D
+    field or coupled 2D fields, use ETDRK4 on the even pure-derivative subset,
+    one step per output interval when `dt` is None; Dirichlet fields use RK4
+    over ghost-closure stencils.
     """
     if isinstance(models, DiscoveredModel):
         models = [models]
@@ -492,7 +486,7 @@ def integrate_model(models, initial: Dataset, dt: float | None = None,
             raise DatasetError(f"initial dataset lacks field '{m.target_field}'")
     u0 = {m.target_field: initial.fields[m.target_field][..., 0] for m in models}
     fields, info = _integrate(models, u0, initial.space_axes, initial.time_axis,
-                              initial.boundary, dt, rtol, atol)
+                              initial.boundary, dt)
     return Dataset(initial.space_axes, initial.time_axis, fields,
                    {f: initial.boundary[f] for f in fields},
                    {"integrated_model": [m.to_json_dict() for m in models], **info})
@@ -512,14 +506,11 @@ def _space_axes(config: BenchmarkConfig, periodic: bool) -> tuple[Axis, ...]:
 def _reference_run(config: BenchmarkConfig, axes, initial: dict, boundary: str,
                    stability: dict) -> Dataset:
     """The benchmark's reference models integrated from `initial`, with the run's
-    provenance; an adaptive run adds its right-hand-side count to `stability`."""
+    provenance."""
     models = [reference_model(config.benchmark, f, epsilon=config.epsilon) for f in initial]
     time_axis = Axis(0.0, config.output_dt, int(round(config.t_final / config.output_dt)) + 1)
     boundaries = {f: boundary for f in initial}
-    fields, info = _integrate(models, initial, axes, time_axis, boundaries,
-                              config.dt, config.rtol, config.atol)
-    if "nfev" in info:
-        stability = {**stability, "nfev": info["nfev"]}
+    fields, _ = _integrate(models, initial, axes, time_axis, boundaries, config.dt)
     meta = {"benchmark": config.benchmark, "config": config.to_json_dict(),
             "stability": stability}
     return Dataset(axes, time_axis, fields, boundaries, meta)

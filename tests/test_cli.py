@@ -12,7 +12,6 @@ from bgsindy.cli import main
 TINY_KDV = {
     "benchmark": "kdv", "bounds": [[0.0, 2.0]], "counts": [260],
     "dt": 5e-4, "output_stride": 2, "epsilon": 4.84e-4, "t_final": 0.3,
-    "rtol": 1e-6, "atol": 1e-8,
 }
 
 
@@ -120,16 +119,17 @@ class TestErrors:
         assert not (tmp_path / "burgers-hyper.json").exists()
 
     def test_malformed_benchmark_config_exit_four(self, tmp_path, capsys):
-        # an unknown entry (here a knob of older configs) or a missing one
-        unknown = {**TINY_KDV, "integrator": "rk4"}
+        # an unknown entry (here knobs of older configs) or a missing one
+        integrator = {**TINY_KDV, "integrator": "rk4"}
+        rtol = {**TINY_KDV, "rtol": 1e-6}
         missing = {k: v for k, v in TINY_KDV.items() if k != "dt"}
-        for name, cfg in (("unknown", unknown), ("missing", missing)):
+        for name, cfg in (("integrator", integrator), ("rtol", rtol), ("missing", missing)):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
             assert main(["generate", "kdv", "--config", str(path),
                          "--out", str(tmp_path / name)]) == 4
         err = capsys.readouterr().err
-        assert "'integrator'" in err and "'dt'" in err
+        assert "'integrator'" in err and "'rtol'" in err and "'dt'" in err
 
     def test_unknown_library_spec_entry_exit_four(self, tiny_run, tmp_path, capsys):
         _, data, _ = tiny_run

@@ -98,27 +98,16 @@ class TestSubsample:
         a = subsample(kdv_dataset, 1000, "uniform-random", seed=42)
         b = subsample(kdv_dataset, 1000, "uniform-random", seed=42)
         assert np.array_equal(a.indices, b.indices)
-        c = subsample(kdv_dataset, 1000, "latin-hypercube", seed=42)
-        d = subsample(kdv_dataset, 1000, "latin-hypercube", seed=42)
-        assert np.array_equal(c.indices, d.indices)
-        assert not np.array_equal(a.indices, c.indices)
 
     def test_out_of_range_n(self):
         ds = make_dataset()
         with pytest.raises(DatasetError):
             subsample(ds, ds.total_points + 1, "uniform-random")
 
-    def test_latin_hypercube_stratification(self):
-        # 10 samples on a 100 x 100 grid: each 10-wide stratum of each axis
-        # must contain exactly one sample
-        ds = Dataset((Axis(0, 1.0, 100),), Axis(0, 1.0, 100),
-                     {"u": np.zeros((100, 100))}, {"u": "periodic"})
-        s = subsample(ds, 10, "latin-hypercube", seed=7)
-        xi, ti = np.unravel_index(s.indices, (100, 100))
-        assert sorted(np.unique(xi // 10)) == list(range(10))
-        assert sorted(np.unique(ti // 10)) == list(range(10))
-        assert np.bincount(xi // 10).max() == 1
-        assert np.bincount(ti // 10).max() == 1
+    def test_unknown_strategy(self):
+        ds = make_dataset()
+        with pytest.raises(DatasetError, match="unknown strategy 'latin-hypercube'"):
+            subsample(ds, 10, "latin-hypercube")
 
     def test_time_window(self):
         ds = make_dataset(nt=12)
@@ -126,7 +115,7 @@ class TestSubsample:
         _, ti = np.unravel_index(s.indices, ds.shape)
         assert ti.min() == 4 and ti.max() == 7
 
-    @pytest.mark.parametrize("strategy", ["all", "uniform-random", "latin-hypercube"])
+    @pytest.mark.parametrize("strategy", ["all", "uniform-random"])
     def test_margins_and_window_bound_every_draw(self, strategy):
         ds = make_dataset(nx=40, nt=30)
         n = 34 * 16 if strategy == "all" else 200

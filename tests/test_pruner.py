@@ -249,6 +249,12 @@ class TestDiscover:
         assert lines[0].startswith("iteration,")
         assert all(f"W[{n}]" in lines[0] for n in trace.term_names)
         assert len(lines) == len(trace.iterations) + 1
+        # every W cell parses back to the recorded importance
+        first_w = lines[0].split(",").index(f"W[{trace.term_names[0]}]")
+        for line, it in zip(lines[1:], trace.iterations):
+            cells = line.split(",")[first_w:]
+            assert [j for j, c in enumerate(cells) if c] == list(it.active)
+            assert [float(cells[j]) for j in it.active] == list(it.importances)
 
     def test_config_validation(self):
         with pytest.raises(DatasetError):
