@@ -27,12 +27,10 @@ from .metrics import coefficient_error, relative_l2, structure_match
 from .simulate import (
     BenchmarkConfig,
     SolverInstability,
+    generate_benchmark,
     integrate_model,
-    solve_burgers_hyper,
-    solve_kdv,
-    solve_modified_ks,
-    solve_rd2d,
+    reference_model,
 )
-from .benchmarks import discovery_recipe, generate, reference_model, run_discovery
+from .benchmarks import discovery_recipe, run_discovery
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ any entry.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .library import (LibrarySpec, build_library, reduce_independent,
                       row_half_widths, row_margins)
 from .metrics import coefficient_error, structure_match
 from .pruner import PrunerConfig, discover
-from .simulate import default_config, generate_benchmark, reference_model
+from .simulate import _benchmark, reference_model
 
 AXIS_INDEX = {"x": 0, "y": 1, "t": -1}
 
@@ -33,10 +34,6 @@ class _SamplePlan:
     time_window: list | None = None
 
 
-def generate(benchmark: str, config=None) -> Dataset:
-    return generate_benchmark(benchmark, config)
-
-
 def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
     """Default discovery settings per benchmark: one common recipe, with the
     library bounds, time accuracy, smoothing and sampling that differ.
@@ -48,19 +45,6 @@ def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
     recipe samples after the Gibbs transient of the published non-periodic
     initial condition has decayed. Every call returns fresh dicts.
     """
-    changes = {
-        "kdv": {"library": {"poly_degree": 2, "deriv_order": 4},
-                "smooth": [{"axis": "t", "window": 31, "degree": 3},
-                           {"axis": "x", "window": 7, "degree": 3}],
-                "sample": {"strategy": "all", "n": None}},
-        "burgers-hyper": {"library": {"poly_degree": 2, "deriv_order": 4,
-                                      "time_accuracy": 6}},
-        "modified-ks": {"library": {"poly_degree": 10, "deriv_order": 10}},
-        "rd2d": {"library": {"kind": "rd-2d", "poly_degree": 3, "deriv_order": 2},
-                 "sample": {"time_window": [10, None]}},
-    }.get(benchmark)
-    if changes is None:
-        raise DatasetError(f"unknown benchmark {benchmark!r}")
     common = {
         "benchmark": benchmark,
         "target_field": target_field,
@@ -70,7 +54,7 @@ def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
                    "time_window": None},
         "pruner": {"tau": 3.0, "epsilon_rel": 1e-6},
     }
-    return override_recipe(common, changes)
+    return override_recipe(common, copy.deepcopy(_benchmark(benchmark).recipe))
 
 
 def override_recipe(recipe: dict, overrides: dict) -> dict:

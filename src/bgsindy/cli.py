@@ -22,7 +22,7 @@ from .benchmarks import (build_reduced_library, discovery_recipe, override_recip
                          run_discovery, run_sweep, sweep_recipe)
 from .core import DatasetError, DiscoveredModel, load_dataset, save_dataset
 from .metrics import coefficient_error, relative_l2, structure_match
-from .simulate import (BenchmarkConfig, SolverInstability, default_config,
+from .simulate import (BENCHMARKS, BenchmarkConfig, SolverInstability, default_config,
                        generate_benchmark, integrate_model, reference_model)
 
 EXIT_OK = 0
@@ -73,10 +73,8 @@ def _dump_json(path: Path, obj):
 
 
 def cmd_generate(args) -> int:
-    if args.config:
-        config = BenchmarkConfig.from_json_dict(_read_json(args.config))
-    else:
-        config = default_config(args.benchmark, args.resolution)
+    config = (BenchmarkConfig.from_json_dict(_read_json(args.config)) if args.config
+              else default_config(args.benchmark))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dataset = generate_benchmark(args.benchmark, config)
@@ -144,13 +142,19 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _benchmark_of(dataset) -> str:
+    """The benchmark a dataset was generated from."""
+    benchmark = dataset.metadata.get("benchmark")
+    if benchmark is None:
+        raise CliError("dataset has no benchmark provenance")
+    return benchmark
+
+
 def cmd_validate(args) -> int:
     model = DiscoveredModel.from_json_dict(_read_json(args.model))
     reference = load_dataset(args.reference)
+    benchmark = _benchmark_of(reference)
     meta = reference.metadata
-    benchmark = meta.get("benchmark")
-    if benchmark is None:
-        raise CliError("reference dataset has no benchmark provenance")
     eps = meta["config"]["epsilon"]
     ref_model = reference_model(benchmark, model.target_field, epsilon=eps)
     ok, report = structure_match(model, ref_model)
@@ -161,10 +165,9 @@ def cmd_validate(args) -> int:
     out = {"benchmark": benchmark, "structure": report,
            "coefficient_error": coeff}
     if not args.no_integrate:
-        models = [model]
-        if benchmark == "rd2d":
-            other = "v" if model.target_field == "u" else "u"
-            models.append(reference_model(benchmark, other, epsilon=eps))
+        # coupled to the reference models of the dataset's other fields
+        models = [model] + [reference_model(benchmark, f, epsilon=eps)
+                            for f in reference.field_names() if f != model.target_field]
         predicted = integrate_model(models, reference, dt=meta["config"]["dt"])
         out["relative_l2"] = {
             model.target_field: relative_l2(predicted, reference, model.target_field)}
@@ -186,8 +189,11 @@ def cmd_sweep(args) -> int:
     dataset = load_dataset(args.data)
     gammas = _parse_noise(args.noise)
     ns = [int(s) for s in args.samples.split(",")]
-    workers = int(os.environ.get("BGSINDY_THREADS", "1"))
-    recipe = sweep_recipe(dataset.metadata.get("benchmark", "kdv"))
+    try:
+        workers = int(os.environ.get("BGSINDY_THREADS", "1"))
+    except ValueError as exc:
+        raise CliError(f"BGSINDY_THREADS must be an integer: {exc}") from exc
+    recipe = sweep_recipe(_benchmark_of(dataset))
     results = run_sweep(dataset, gammas, ns, args.seeds, args.seed, recipe,
                         workers=max(1, workers))
     outdir = Path(args.out)
@@ -244,9 +250,8 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a benchmark dataset")
-    g.add_argument("benchmark", choices=["kdv", "burgers-hyper", "modified-ks", "rd2d"])
+    g.add_argument("benchmark", choices=list(BENCHMARKS))
     g.add_argument("--config", help="BenchmarkConfig JSON overriding defaults")
-    g.add_argument("--resolution", choices=["half", "full"], default="half")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -296,18 +301,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DatasetError as exc:
+    except (CliError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverInstability as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

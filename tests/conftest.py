@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
 
-from bgsindy import generate
+from bgsindy import generate_benchmark
 
 
 @pytest.fixture(scope="session")
 def kdv_dataset():
-    return generate("kdv")
+    return generate_benchmark("kdv")
 
 
 @pytest.fixture(scope="session")
 def burgers_dataset():
-    return generate("burgers-hyper")
+    return generate_benchmark("burgers-hyper")
 
 
 @pytest.fixture(scope="session")
 def ks_dataset():
-    return generate("modified-ks")
+    return generate_benchmark("modified-ks")
 
 
 @pytest.fixture(scope="session")
 def rd_dataset():
-    return generate("rd2d")
+    return generate_benchmark("rd2d")
 
 
 @pytest.fixture()

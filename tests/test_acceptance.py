@@ -17,7 +17,7 @@ from bgsindy.benchmarks import (discovery_recipe, run_discovery, run_sweep,
                                 sweep_recipe)
 from bgsindy.cli import main as cli_main
 from bgsindy.differentiation import fd_diff, spectral_diff
-from bgsindy.simulate import default_config, reference_model, solve_kdv, solve_modified_ks
+from bgsindy.simulate import default_config, generate_benchmark, reference_model
 from tests.test_pruner import synthetic_library
 
 
@@ -270,13 +270,14 @@ class TestCriterion7PropertySuites:
         finals = {}
         for dt, stride in ((1e-4, 10), (5e-5, 20), (2.5e-5, 40)):
             cfg = replace(c, dt=dt, output_stride=stride, t_final=0.25)
-            finals[dt] = solve_kdv(cfg).fields["u"][:, -1]
+            finals[dt] = generate_benchmark("kdv", cfg).fields["u"][:, -1]
         r_kdv = (np.linalg.norm(finals[1e-4] - finals[5e-5])
                  / np.linalg.norm(finals[5e-5] - finals[2.5e-5]))
         ck = default_config("modified-ks")
         f2 = {}
         for dt, stride in ((0.004, 1), (0.002, 2), (0.001, 4)):
-            f2[dt] = solve_modified_ks(
+            f2[dt] = generate_benchmark(
+                "modified-ks",
                 replace(ck, dt=dt, output_stride=stride, t_final=2.0)).fields["u"][:, -1]
         r_ks = (np.linalg.norm(f2[0.004] - f2[0.002])
                 / np.linalg.norm(f2[0.002] - f2[0.001]))

@@ -36,8 +36,6 @@ class TestGenerateDiscover:
         for name in ("model.json", "trace.json", "trace.csv", "manifest.json"):
             assert (run / name).exists()
         model = json.loads((run / "model.json").read_text())
-        names = sorted(t["deriv"]["orders"][0] if "deriv" in t else 0
-                       for t in model["terms"])
         assert model["target_field"] == "u"
 
     def test_discovered_structure_on_short_horizon(self, tiny_run):
@@ -70,6 +68,22 @@ class TestGenerateDiscover:
         code = main(["validate", "--model", str(bdir / "model.json"),
                      "--reference", str(data / "kdv"), "--no-integrate"])
         assert code == 2
+
+    def test_validate_coupled_rd2d_exit_zero(self, tmp_path, capsys):
+        # the v model is integrated together with the reference u model
+        cfg = tmp_path / "rd2d.json"
+        cfg.write_text(json.dumps({
+            "benchmark": "rd2d", "bounds": [[-1.5, 1.5], [-1.5, 1.5]], "counts": [32, 32],
+            "dt": 0.025, "output_stride": 2, "epsilon": 1e-3, "t_final": 1.0}))
+        data = tmp_path / "data"
+        assert main(["generate", "rd2d", "--config", str(cfg), "--out", str(data)]) == 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(bgsindy.reference_model("rd2d", "v").to_json_dict()))
+        capsys.readouterr()
+        assert main(["validate", "--model", str(model), "--reference", str(data / "rd2d")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["structure"]["match"] is True
+        assert report["relative_l2"]["v"] <= 0.01
 
     def test_report(self, tiny_run, capsys):
         _, _, run = tiny_run
@@ -105,6 +119,30 @@ class TestDeterminism:
 class TestErrors:
     def test_unknown_flag_exit_four(self):
         assert main(["discover", "--nonsense"]) == 4
+
+    def test_removed_resolution_option_exit_four(self, tmp_path):
+        assert main(["generate", "burgers-hyper", "--resolution", "full",
+                     "--out", str(tmp_path)]) == 4
+        assert not (tmp_path / "burgers-hyper.json").exists()
+
+    def test_sweep_without_benchmark_provenance_exit_four(self, tmp_path, capsys):
+        # a plain periodic dataset, long enough for a sweep cell to run
+        axis, time_axis = bgsindy.Axis(0.0, 2 * np.pi / 32, 32), bgsindy.Axis(0.0, 0.05, 64)
+        u = np.sin(axis.points())[:, None] * np.exp(-time_axis.points())
+        bgsindy.save_dataset(bgsindy.Dataset((axis,), time_axis, {"u": u}, {"u": "periodic"}),
+                             tmp_path / "plain")
+        assert main(["sweep", "--data", str(tmp_path / "plain"), "--noise", "0:0:1",
+                     "--samples", "100", "--seeds", "1", "--out", str(tmp_path / "o")]) == 4
+        assert "provenance" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_integer_threads_exit_four(self, tiny_run, tmp_path, capsys, monkeypatch):
+        _, data, _ = tiny_run
+        monkeypatch.setenv("BGSINDY_THREADS", "two")
+        assert main(["sweep", "--data", str(data / "kdv"), "--noise", "0:0.05:2",
+                     "--samples", "300", "--seeds", "1", "--out", str(tmp_path / "o")]) == 4
+        assert "BGSINDY_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unreadable_config_exit_four(self, tmp_path):
         assert main(["generate", "kdv", "--config", str(tmp_path / "nope.json"),

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bgsindy import (Axis, Dataset, DiscoveredModel, SolverInstability, TermDescriptor,
-                     integrate_model, relative_l2)
-from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark,
-                              kdv_initial_condition, rd2d_initial_condition,
-                              reference_model, solve_burgers_hyper, solve_kdv,
-                              solve_modified_ks, solve_rd2d, _integrate, _spectral_grid,
-                              _spectral_term_rhs)
+from bgsindy import (Axis, Dataset, DatasetError, DiscoveredModel, SolverInstability,
+                     TermDescriptor, integrate_model, relative_l2)
+from bgsindy.benchmarks import discovery_recipe
+from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark, reference_model,
+                              _integrate, _spectral_grid, _spectral_term_rhs)
 
 
 class TestKdv:
     def test_initial_slice_is_ic(self, kdv_dataset):
         x = kdv_dataset.space_axes[0].points()
-        assert np.array_equal(kdv_dataset.fields["u"][:, 0], kdv_initial_condition(x))
+        expect = 0.9 / np.cosh(12.45 * (x - 0.5)) ** 2 + 0.3 / np.cosh(7.1875 * (x - 0.85)) ** 2
+        assert np.array_equal(kdv_dataset.fields["u"][:, 0], expect)
 
     def test_mass_conservation(self, kdv_dataset):
         # conservation oracle: the integral of u is invariant for decaying
@@ -33,7 +32,8 @@ class TestKdv:
 
     def test_dt_halving_small_change(self, kdv_dataset):
         c = default_config("kdv")
-        fine = solve_kdv(replace(c, dt=c.dt / 2, output_stride=c.output_stride * 2))
+        fine = generate_benchmark("kdv", replace(c, dt=c.dt / 2,
+                                                 output_stride=c.output_stride * 2))
         a = kdv_dataset.fields["u"][:, -1]
         b = fine.fields["u"][:, -1]
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-5
@@ -44,7 +44,7 @@ class TestKdv:
         finals = {}
         for dt, stride in ((1e-4, 10), (5e-5, 20), (2.5e-5, 40)):
             cfg = replace(c, dt=dt, output_stride=stride, t_final=0.25)
-            finals[dt] = solve_kdv(cfg).fields["u"][:, -1]
+            finals[dt] = generate_benchmark("kdv", cfg).fields["u"][:, -1]
         e1 = np.linalg.norm(finals[1e-4] - finals[5e-5])
         e2 = np.linalg.norm(finals[5e-5] - finals[2.5e-5])
         assert e1 / e2 >= 8.0
@@ -52,7 +52,7 @@ class TestKdv:
     def test_blowup_aborts(self):
         c = replace(default_config("kdv"), dt=0.01, output_stride=1, t_final=1.0)
         with pytest.raises(SolverInstability):
-            solve_kdv(c)
+            generate_benchmark("kdv", c)
 
 
 class TestBurgersHyper:
@@ -110,7 +110,7 @@ class TestBurgersHyper:
 
     def test_dt_halving_small_change(self, burgers_dataset):
         c = default_config("burgers-hyper")
-        fine = solve_burgers_hyper(replace(c, dt=0.05, output_stride=2))
+        fine = generate_benchmark("burgers-hyper", replace(c, dt=0.05, output_stride=2))
         a = burgers_dataset.fields["u"][:, -1]
         b = fine.fields["u"][:, -1]
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
@@ -140,8 +140,8 @@ class TestModifiedKs:
 
     def test_eps_zero_statistics_match_double_resolution(self):
         c = replace(default_config("modified-ks"), epsilon=0.0, t_final=150.0)
-        coarse = solve_modified_ks(c)
-        fine = solve_modified_ks(replace(c, counts=(256,)))
+        coarse = generate_benchmark("modified-ks", c)
+        fine = generate_benchmark("modified-ks", replace(c, counts=(256,)))
         skip = int(30.0 / coarse.time_axis.spacing)
         e_coarse = (coarse.fields["u"] ** 2).mean(axis=0)[skip:].mean()
         e_fine = (fine.fields["u"] ** 2).mean(axis=0)[skip:].mean()
@@ -151,7 +151,8 @@ class TestModifiedKs:
         c = default_config("modified-ks")
         finals = {}
         for dt, stride in ((0.004, 1), (0.002, 2), (0.001, 4)):
-            finals[dt] = solve_modified_ks(
+            finals[dt] = generate_benchmark(
+                "modified-ks",
                 replace(c, dt=dt, output_stride=stride, t_final=2.0)).fields["u"][:, -1]
         e1 = np.linalg.norm(finals[0.004] - finals[0.002])
         e2 = np.linalg.norm(finals[0.002] - finals[0.001])
@@ -162,7 +163,7 @@ class TestRd2d:
     def test_zero_ic_stays_zero(self):
         # (0,0) is a fixed point of the reaction and of diffusion
         c = replace(default_config("rd2d"), counts=(32, 32), t_final=0.5)
-        zero = solve_rd2d_zero(c)
+        zero = rd2d_uniform(c, 0.0, 0.0)
         assert np.abs(zero.fields["u"]).max() < 1e-12
         assert np.abs(zero.fields["v"]).max() < 1e-12
 
@@ -171,7 +172,7 @@ class TestRd2d:
         # high-accuracy two-variable ODE oracle
         c = replace(default_config("rd2d"), counts=(16, 16), t_final=2.0)
         u0, v0 = 0.3, -0.2
-        ds = solve_rd2d_uniform(c, u0, v0)
+        ds = rd2d_uniform(c, u0, v0)
         sol = solve_ivp(lambda t, z: np.array(rd_reaction(z[0], z[1])),
                         (0, 2.0), [u0, v0], rtol=1e-11, atol=1e-12,
                         t_eval=ds.time_axis.points())
@@ -187,7 +188,8 @@ class TestRd2d:
 
     def test_dt_halving_fourth_order_convergence(self):
         c = replace(default_config("rd2d"), counts=(64, 64), t_final=1.0)
-        finals = [solve_rd2d(replace(c, dt=dt, output_stride=stride)).fields["u"][..., -1]
+        finals = [generate_benchmark("rd2d", replace(c, dt=dt, output_stride=stride))
+                  .fields["u"][..., -1]
                   for dt, stride in ((0.05, 1), (0.025, 2), (0.0125, 4))]
         e1 = np.linalg.norm(finals[0] - finals[1])
         e2 = np.linalg.norm(finals[1] - finals[2])
@@ -195,25 +197,28 @@ class TestRd2d:
 
     def test_generation_byte_identical(self):
         c = replace(default_config("rd2d"), counts=(32, 32), t_final=1.0)
-        a, b = solve_rd2d(c), solve_rd2d(c)
+        a, b = generate_benchmark("rd2d", c), generate_benchmark("rd2d", c)
         for f in ("u", "v"):
             assert a.fields[f].tobytes() == b.fields[f].tobytes()
 
     def test_stacked_stepper_bit_equal_to_row_wise(self, rng):
-        # coupled fields step as one stack under a stacked symbol
+        # coupled fields step as one stack under a stacked symbol; a stack of
+        # two identical rows, as rd2d's, shares one contour evaluation
         m = 65
-        lins = np.stack([-rng.uniform(0.0, 50.0, m), rng.uniform(-1.0, 1.0, m)])
-        stacked = Etdrk4(lins, dt=0.01)
-        rows = [Etdrk4(lin, dt=0.01) for lin in lins]
-        for a in ("e_full", "e_half", "q", "f1", "f2_twice", "f3"):
-            assert np.array_equal(getattr(stacked, a),
-                                  np.stack([getattr(r, a) for r in rows]))
-        mix = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-        v = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-        got = stacked.step(v, lambda w: mix * w * w - 0.3j * w)
-        expect = [r.step(v[i], lambda w, i=i: mix[i] * w * w - 0.3j * w)
-                  for i, r in enumerate(rows)]
-        assert np.array_equal(got, np.stack(expect))
+        same = -rng.uniform(0.0, 50.0, m)
+        for lins in (np.stack([-rng.uniform(0.0, 50.0, m), rng.uniform(-1.0, 1.0, m)]),
+                     np.stack([same, same])):
+            stacked = Etdrk4(lins, dt=0.01)
+            rows = [Etdrk4(lin, dt=0.01) for lin in lins]
+            for a in ("e_full", "e_half", "q", "f1", "f2_twice", "f3"):
+                assert np.array_equal(getattr(stacked, a),
+                                      np.stack([getattr(r, a) for r in rows]))
+            mix = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+            v = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+            got = stacked.step(v, lambda w: mix * w * w - 0.3j * w)
+            expect = [r.step(v[i], lambda w, i=i: mix[i] * w * w - 0.3j * w)
+                      for i, r in enumerate(rows)]
+            assert np.array_equal(got, np.stack(expect))
 
 
 def rd_reaction(u, v):
@@ -221,26 +226,28 @@ def rd_reaction(u, v):
             v - v**3 - 0.5 * u * v**2 - u**2 * v - 0.5 * u**3)
 
 
-def solve_rd2d_zero(config):
-    import bgsindy.simulate as sim
-    orig = sim.rd2d_initial_condition
-    sim.rd2d_initial_condition = lambda x, y: (np.zeros((x.size, y.size)),
-                                               np.zeros((x.size, y.size)))
-    try:
-        return solve_rd2d(config)
-    finally:
-        sim.rd2d_initial_condition = orig
+def rd2d_uniform(config, u0, v0):
+    """Both rd2d reference models integrated from the uniform fields u0 and v0,
+    on the config's grid, output times and step."""
+    axes = tuple(Axis(lo, (hi - lo) / n, n) for (lo, hi), n in zip(config.bounds, config.counts))
+    time_axis = Axis(0.0, config.output_dt, int(round(config.t_final / config.output_dt)) + 1)
+    shape = config.counts + (time_axis.count,)
+    initial = Dataset(axes, time_axis, {"u": np.full(shape, u0), "v": np.full(shape, v0)},
+                      {"u": "periodic", "v": "periodic"})
+    models = [reference_model("rd2d", f, epsilon=config.epsilon) for f in ("u", "v")]
+    return integrate_model(models, initial, dt=config.dt)
 
 
-def solve_rd2d_uniform(config, u0, v0):
-    import bgsindy.simulate as sim
-    orig = sim.rd2d_initial_condition
-    sim.rd2d_initial_condition = lambda x, y: (np.full((x.size, y.size), u0),
-                                               np.full((x.size, y.size), v0))
-    try:
-        return solve_rd2d(config)
-    finally:
-        sim.rd2d_initial_condition = orig
+class TestBenchmarkTable:
+    def test_unknown_benchmark_raises(self):
+        for accessor in (default_config, reference_model, generate_benchmark,
+                         discovery_recipe):
+            with pytest.raises(DatasetError, match="unknown benchmark 'kdw'"):
+                accessor("kdw")
+
+    def test_unknown_field_raises(self):
+        with pytest.raises(DatasetError, match="no field 'w'"):
+            reference_model("rd2d", "w")
 
 
 class TestIntegrateModel:
@@ -447,7 +454,10 @@ class TestHandWrittenOracles:
             u, v = np.fft.irfft2(z * mask, s=(nx, ny))
             return np.stack([np.fft.rfft2(f) * mask for f in rd_reaction(u, v)])
 
-        u0, v0 = rd2d_initial_condition(*(a.points() for a in ds.space_axes))
+        xx, yy = np.meshgrid(*(a.points() for a in ds.space_axes), indexing="ij")
+        r = np.sqrt(xx**2 + yy**2)
+        theta = np.angle(xx + 1j * yy)
+        u0, v0 = np.tanh(r) * np.cos(2 * theta - r), np.tanh(r) * np.sin(2 * theta - r)
         z = np.stack([np.fft.rfft2(u0), np.fft.rfft2(v0)])
         out = [z]
         for _ in range(ds.time_axis.count - 1):
