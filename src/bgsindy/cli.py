@@ -185,10 +185,22 @@ def _parse_noise(spec: str):
         raise CliError(f"bad --noise spec {spec!r} (want lo:hi:count)") from exc
 
 
+def _parse_samples(spec: str) -> list[int]:
+    """Comma-separated positive sample counts; integral spellings such as 1e3
+    are accepted."""
+    try:
+        counts = [float(s) for s in spec.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad --samples spec {spec!r} (want n1,n2,...)") from exc
+    if not all(c.is_integer() and c > 0 for c in counts):
+        raise CliError(f"bad --samples spec {spec!r} (counts must be positive integers)")
+    return [int(c) for c in counts]
+
+
 def cmd_sweep(args) -> int:
     dataset = load_dataset(args.data)
     gammas = _parse_noise(args.noise)
-    ns = [int(s) for s in args.samples.split(",")]
+    ns = _parse_samples(args.samples)
     try:
         workers = int(os.environ.get("BGSINDY_THREADS", "1"))
     except ValueError as exc:

@@ -93,6 +93,13 @@ class TestGenerateDiscover:
         assert (run / "report.json").exists()
         assert (run / "report.csv").read_text().startswith("iteration,residual")
 
+    def test_sweep_samples_in_exponent_notation(self, tiny_run, tmp_path):
+        _, data, _ = tiny_run
+        out = tmp_path / "o"
+        assert main(["sweep", "--data", str(data / "kdv"), "--noise", "0:0:1",
+                     "--samples", "1e3", "--seeds", "1", "--out", str(out)]) == 0
+        assert (out / "sweep.csv").read_text().splitlines()[0] == "gamma,n=1000"
+
 
 class TestDeterminism:
     def test_discover_byte_identical(self, tiny_run, tmp_path):
@@ -142,6 +149,14 @@ class TestErrors:
         assert main(["sweep", "--data", str(data / "kdv"), "--noise", "0:0.05:2",
                      "--samples", "300", "--seeds", "1", "--out", str(tmp_path / "o")]) == 4
         assert "BGSINDY_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("samples", ["100,abc", "0", "100,2.5"])
+    def test_bad_samples_exit_four(self, tiny_run, tmp_path, capsys, samples):
+        _, data, _ = tiny_run
+        assert main(["sweep", "--data", str(data / "kdv"), "--noise", "0:0:1",
+                     "--samples", samples, "--seeds", "1", "--out", str(tmp_path / "o")]) == 4
+        assert "--samples" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unreadable_config_exit_four(self, tmp_path):

@@ -62,9 +62,8 @@ class TestImportance:
         with pytest.raises(DatasetError):
             importance(np.ones((3, 0)), np.array([]))
 
-    def test_gemv_mean_and_caller_buffer(self, rng):
-        # W from one matrix-vector product against the mean of the returned
-        # w, and the same bits whether w lands in a new array or a buffer
+    def test_dot_product_mean(self, rng):
+        # W from one dot product per column against the mean of the returned w
         for n, k in ((7, 3), (1000, 15), (100_000, 30)):
             phi = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, k)
             xi = rng.standard_normal(k)
@@ -72,10 +71,12 @@ class TestImportance:
             mean = w.mean(axis=0)
             assert np.abs(W - mean).max() <= 1e-14 * np.abs(mean).max()
             assert (np.abs(W - mean) <= 1e-14 * mean).all()
-            buf = np.empty((n, k + 4), order="F")
-            w2, W2 = importance(np.asfortranarray(phi), xi, out=buf[:, :k])
-            assert np.shares_memory(w2, buf)
-            assert np.array_equal(w2, w) and np.array_equal(W2, W)
+
+    def test_stabilizer_underflow_raises(self, rng):
+        # eps = epsilon_rel * 1e-300 is subnormal and 1 / eps overflows
+        phi = rng.standard_normal((50, 3)) * 1e-300
+        with pytest.raises(DatasetError, match="underflows"):
+            importance(phi, np.ones(3))
 
 
 def reference_prune(lib, config):
@@ -154,9 +155,10 @@ class TestReferenceLoop:
 
 
 class TestActiveSystem:
-    def test_no_n_row_array_but_working_copy_and_buffer(self):
+    def test_no_n_row_array_but_working_copy(self):
         # the R factor of [phi | y] is N x (M + 1); only a copy of its top
-        # block may stay alive, not views into the whole factor
+        # block may stay alive, not views into the whole factor, and |phi|
+        # is kept as M x N
         lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
         system = _ActiveSystem(lib)
         n_row = {}
@@ -169,8 +171,9 @@ class TestActiveSystem:
             if root.shape[0] == lib.n_samples:
                 n_row[name] = root
         assert n_row.pop("y") is lib.target
-        assert sorted(n_row) == ["buf", "cols"]
-        assert n_row["cols"] is not n_row["buf"]
+        assert sorted(n_row) == ["cols"]
+        assert system.absphi.shape == (lib.n_terms, lib.n_samples)
+        assert system.absphi.flags.c_contiguous
         assert system.r.base.shape == (lib.n_terms + 1, lib.n_terms + 1)
 
 
@@ -238,6 +241,25 @@ class TestDiscover:
         model, trace = discover(lib, PrunerConfig(tau=1.0001))
         assert len(model.terms) > 3
         assert trace.selected_iteration < 10 - 3
+
+    def test_importances_equal_importance_kernel(self):
+        # columns spanning 24 orders of magnitude, rows spanning two full
+        # dot-product blocks and a tail: every recorded score has the bits of
+        # `importance` on that iteration's active columns
+        lib, _ = synthetic_library(n=40_000, m=12, k_true=4, noise=1e-6, seed=9)
+        scaled = replace(lib, matrix=lib.matrix * 10.0 ** np.arange(-12, 12, 2))
+        config = PrunerConfig()
+        _, trace = discover(scaled, config)
+        for it in trace.iterations:
+            _, W = importance(scaled.matrix[:, it.active], it.coefficients,
+                              config.epsilon_rel)
+            assert np.array_equal(it.importances, W)
+
+    def test_stabilizer_underflow_raises(self):
+        lib, _ = synthetic_library(n=500, m=5, k_true=2, noise=1e-6, seed=3)
+        tiny = replace(lib, matrix=lib.matrix * 1e-300, target=lib.target * 1e-300)
+        with pytest.raises(DatasetError, match="underflows"):
+            discover(tiny)
 
     def test_trace_export(self, tmp_path):
         lib, _ = synthetic_library(m=5, k_true=2, noise=1e-6)
