@@ -180,9 +180,12 @@ def cmd_validate(args) -> int:
 def _parse_noise(spec: str):
     try:
         lo, hi, count = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        gammas = np.linspace(float(lo), float(hi), int(count))
     except ValueError as exc:
         raise CliError(f"bad --noise spec {spec!r} (want lo:hi:count)") from exc
+    if gammas.size == 0:
+        raise CliError(f"bad --noise spec {spec!r} (count must be positive)")
+    return gammas
 
 
 def _parse_samples(spec: str) -> list[int]:
@@ -198,9 +201,13 @@ def _parse_samples(spec: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    dataset = load_dataset(args.data)
     gammas = _parse_noise(args.noise)
     ns = _parse_samples(args.samples)
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be a positive integer, got {args.seeds}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+    dataset = load_dataset(args.data)
     try:
         workers = int(os.environ.get("BGSINDY_THREADS", "1"))
     except ValueError as exc:

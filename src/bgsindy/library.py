@@ -160,7 +160,10 @@ class LibrarySpec:
 @dataclass(frozen=True)
 class Library:
     terms: tuple[TermDescriptor, ...]
-    matrix: np.ndarray            # N x M
+    # N x M, column-major: each tall factorization (the pivoted QR and SVD
+    # of `reduce_independent`, the pruner's QR) runs LAPACK on a
+    # column-major copy, which a row-major matrix would first transpose
+    matrix: np.ndarray
     target: np.ndarray            # N
     sample_set: SampleSet
     target_field: str
@@ -303,12 +306,14 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                        1, spec.time_accuracy, periodic=False)
 
     diagnostics = {}
+    matrix = np.empty((idx.size, len(terms)), order="F")
     if spec.test_function_degree is None:
         powers = power_tables({f: dataset.fields[f].ravel()[idx] for f in names},
                               power_degrees(terms))
         sampled_derivs = {key: full.ravel()[idx]
                           for key, full in _space_derivatives(dataset, needed)}
-        cols = [t.evaluate(powers, sampled_derivs) for t in terms]
+        for j, t in enumerate(terms):
+            matrix[:, j] = t.evaluate(powers, sampled_derivs)
         target = time_target().ravel()[idx]
     else:
         if half_widths is None:
@@ -327,13 +332,14 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
 
         powers = power_tables({f: dataset.fields[f] for f in names}, power_degrees(terms))
         derivs = dict(_space_derivatives(dataset, needed))
-        cols = [rows(t.evaluate(powers, derivs)) for t in terms]
+        for j, t in enumerate(terms):
+            matrix[:, j] = rows(t.evaluate(powers, derivs))
         target = rows(time_target())
         diagnostics["test_function"] = {"degree": spec.test_function_degree,
                                         "half_widths": [int(m) for m in half_widths]}
 
-    return Library(tuple(terms), np.column_stack(cols), target, sample_set, target_field,
-                   spec, diagnostics)
+    return Library(tuple(terms), matrix, target, sample_set, target_field, spec,
+                   diagnostics)
 
 
 def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
@@ -344,7 +350,9 @@ def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
     """
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
-    R, piv = scipy.linalg.qr(library.matrix, mode="r", pivoting=True)
+    # "raw" mode returns R as the top M x M block alone, not an N-row triu;
+    # the N-row Householder factor it also returns is dropped at once
+    R, piv = scipy.linalg.qr(library.matrix, mode="raw", pivoting=True)[1:]
     diag = np.abs(np.diag(R))
     dmax = diag.max()
     if dmax == 0:

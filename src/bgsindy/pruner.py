@@ -113,10 +113,12 @@ class _ActiveSystem:
     (`_row_weights`, `_global_importance`), and the misfit from the signed
     working copy. Refits go through a one-time QR compression (N x M -> M x M),
     which leaves solutions unchanged up to round-off: the R factor of
-    [phi | y] holds R and Q^T y, so Q is never formed, and only a copy of
-    its top block is kept. Residuals are always evaluated directly
-    on the full data; the compressed form condenses large-magnitude rows and
-    wobbles at the round-off floor.
+    [phi | y] holds R and Q^T y, so Q is never formed. The factorization
+    runs in place on a column-major [phi | y] and, in "raw" mode, returns
+    only the (M + 1) x (M + 1) upper triangle; that block is all that is
+    kept, and no N-row copy of the factor is made. Residuals are always
+    evaluated directly on the full data; the compressed form condenses
+    large-magnitude rows and wobbles at the round-off floor.
     """
 
     def __init__(self, library: Library):
@@ -127,12 +129,8 @@ class _ActiveSystem:
         aug = np.empty((n, m + 1), order="F")
         aug[:, :m] = library.matrix
         aug[:, m] = self.y
-        r = scipy.linalg.qr(aug, mode="r", overwrite_a=True, check_finite=False)[0]
+        top = scipy.linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
         del aug     # before the working copy: keeps the peak memory down
-        # only the top block is needed: copy it in the factor's own layout,
-        # so the refits see the same strides, and drop the N-row factor
-        top = r[:m + 1].copy(order="K")
-        del r
         self.r, self.qty = top[:m, :m], top[:m, m]
         self.cols = np.array(library.matrix, order="F")
         self.absphi = np.abs(library.matrix.T, order="C")

@@ -159,6 +159,18 @@ class TestErrors:
         assert "--samples" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--seeds", "0"),
+                                               ("--noise", "0:0.1:0")])
+    def test_bad_sweep_argument_exit_four(self, tiny_run, tmp_path, capsys, option, value):
+        # each is refused before any cell runs, so no sweep.csv is written
+        _, data, _ = tiny_run
+        args = {"--noise": "0:0:1", "--samples": "300", "--seeds": "1", "--seed": "0",
+                option: value}
+        argv = ["sweep", "--data", str(data / "kdv"), "--out", str(tmp_path / "o")]
+        assert main(argv + [a for kv in args.items() for a in kv]) == 4
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_config_exit_four(self, tmp_path):
         assert main(["generate", "kdv", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 4

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bgsindy import (Axis, Dataset, DatasetError, add_noise, load_dataset,
+from bgsindy import (Axis, Dataset, DatasetError, SampleSet, add_noise, load_dataset,
                      save_dataset, subsample)
 
 
@@ -129,6 +129,26 @@ class TestSubsample:
         ds = make_dataset(nx=10, nt=12)
         with pytest.raises(DatasetError, match="margins"):
             subsample(ds, 1, "uniform-random", margins=(5, 0))
+
+
+class TestSampleSet:
+    SHAPE = (4, 5)      # 20 grid points
+
+    @pytest.mark.parametrize("indices, message", [
+        ([7, 2, 7], "duplicate"),           # unsorted, duplicates not adjacent
+        ([3, -1, 0], "out of range"),
+        ([0, 20, 5], "out of range"),       # 20 is the grid total
+        ([], "empty"),
+    ])
+    def test_invalid_indices_rejected(self, indices, message):
+        with pytest.raises(DatasetError, match=message):
+            SampleSet(np.array(indices, dtype=np.int64), 0, "uniform-random", self.SHAPE)
+
+    def test_shuffled_permutation_accepted(self):
+        idx = np.random.default_rng(3).permutation(20)
+        s = SampleSet(idx, 0, "uniform-random", self.SHAPE)
+        assert np.array_equal(s.indices, idx)   # kept in the given order
+        assert s.n == 20
 
 
 class TestAddNoise:

@@ -7,7 +7,7 @@ from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSe
                      TermDescriptor, add_noise, build_library, reduce_independent,
                      render_term, subsample)
 from bgsindy.benchmarks import build_reduced_library, discovery_recipe, sweep_recipe
-from bgsindy.differentiation import bump_kernel
+from bgsindy.differentiation import bump_filter, bump_kernel
 from bgsindy import library as library_module
 from bgsindy.differentiation import spectral_diff
 from bgsindy.library import (_space_derivatives, row_half_widths, row_margins,
@@ -107,6 +107,59 @@ class TestBuildLibrary:
         b = build_library(ds, s, LibrarySpec(poly_degree=2, deriv_order=4), "u")
         assert a.terms == b.terms
         assert np.array_equal(a.matrix, b.matrix)
+
+
+class TestColumnMajorMatrix:
+    """The library matrix is one column-major array, equal to np.column_stack
+    of the columns the builder evaluates."""
+
+    @staticmethod
+    def build_and_record(monkeypatch, *args):
+        """The library, and a copy of every term value in evaluation order."""
+        seen = []
+        evaluate = TermDescriptor.evaluate
+
+        def recording(term, powers, derivs):
+            out = evaluate(term, powers, derivs)
+            seen.append(out.copy())
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(TermDescriptor, "evaluate", recording)
+            lib = build_library(*args)
+        return lib, seen
+
+    def test_grid_local_rows(self, monkeypatch):
+        ds = small_dataset()
+        s = subsample(ds, 100, "uniform-random", seed=2)
+        lib, cols = self.build_and_record(
+            monkeypatch, ds, s, LibrarySpec(poly_degree=10, deriv_order=10), "u")
+        assert lib.matrix.flags.f_contiguous
+        assert np.array_equal(lib.matrix, np.column_stack(cols))
+
+    def test_test_function_rows(self, kdv_dataset, monkeypatch):
+        widths = row_half_widths(kdv_dataset, "u", KDV_ROWS)
+        margins = row_margins(kdv_dataset, "u", widths)
+        s = subsample(kdv_dataset, 5000, "uniform-random", 4, margins=margins)
+        lib, full = self.build_and_record(monkeypatch, kdv_dataset, s, KDV_ROWS, "u", widths)
+        inner = tuple(c - m for c, m in
+                      zip(np.unravel_index(s.indices, kdv_dataset.shape), margins))
+        periodic = library_module._periodic_axes(kdv_dataset, "u")
+        cols = [bump_filter(c, widths, KDV_ROWS.test_function_degree, periodic)[inner]
+                for c in full]
+        assert lib.matrix.flags.f_contiguous
+        assert np.array_equal(lib.matrix, np.column_stack(cols))
+
+    def test_rd2d(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        fields = {"u": rng.standard_normal((16, 16, 8)), "v": rng.standard_normal((16, 16, 8))}
+        ds = Dataset((Axis(-1.5, 3 / 16, 16), Axis(-1.5, 3 / 16, 16)), Axis(0.0, 0.05, 8),
+                     fields, {"u": "periodic", "v": "periodic"})
+        s = subsample(ds, 500, "uniform-random", seed=1)
+        lib, cols = self.build_and_record(
+            monkeypatch, ds, s, LibrarySpec(kind="rd-2d", poly_degree=3, deriv_order=2), "v")
+        assert lib.matrix.flags.f_contiguous
+        assert np.array_equal(lib.matrix, np.column_stack(cols))
 
 
 class TestSharedTransforms:
@@ -261,17 +314,24 @@ class TestReduceIndependent:
         assert red.diagnostics["independence"]["qr_rank"] == 4
 
     def test_constructed_dependency_rank(self):
-        # oracle: appending c = a + b must reduce the numerical rank to M
+        # oracle: appending c = a + b must reduce the numerical rank to M; the
+        # builder's column-major matrix and a row-major copy give the same
+        # ranks, dropped term and reduced matrix, which is column-major
         lib = random_library(m=5)
         extra = lib.matrix[:, 0] + lib.matrix[:, 1]
         matrix = np.column_stack([lib.matrix, extra])
         sv = np.linalg.svd(matrix, compute_uv=False)
         assert sv.min() / sv.max() < 1e-12          # SVD oracle agrees
         terms = lib.terms + (TermDescriptor((("u", 9),)),)
-        dep = Library(terms, matrix, lib.target, lib.sample_set, "u", lib.spec)
-        red = reduce_independent(dep)
-        assert red.n_terms == 5
-        assert red.diagnostics["independence"]["svd_rank"] == 5
+        reduced = [reduce_independent(Library(terms, np.array(matrix, order=order),
+                                              lib.target, lib.sample_set, "u", lib.spec))
+                   for order in "FC"]
+        for red in reduced:
+            assert red.n_terms == 5
+            assert red.matrix.flags.f_contiguous
+            assert red.diagnostics["independence"] == {
+                "tol": 1e-10, "qr_rank": 5, "svd_rank": 5, "dropped": ["u^2"]}
+        assert np.array_equal(reduced[0].matrix, reduced[1].matrix)
 
     def test_full_rank_identity(self):
         lib = random_library(m=6)
