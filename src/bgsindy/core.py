@@ -179,7 +179,8 @@ class SampleSet:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        # a private copy: freezing the caller's own array would freeze it for them
+        idx = np.array(self.indices, dtype=np.int64)
         total = int(np.prod(self.shape))
         if idx.size == 0:
             raise DatasetError("empty sample set")

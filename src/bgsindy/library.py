@@ -351,8 +351,11 @@ def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
     # "raw" mode returns R as the top M x M block alone, not an N-row triu;
-    # the N-row Householder factor it also returns is dropped at once
-    R, piv = scipy.linalg.qr(library.matrix, mode="raw", pivoting=True)[1:]
+    # the N-row Householder factor it also returns is dropped at once. LAPACK
+    # factors one private column-major copy in place: without overwrite_a,
+    # scipy's workspace query and the factorization each copy the matrix
+    R, piv = scipy.linalg.qr(np.array(library.matrix, order="F"), overwrite_a=True,
+                             mode="raw", pivoting=True)[1:]
     diag = np.abs(np.diag(R))
     dmax = diag.max()
     if dmax == 0:

@@ -7,7 +7,8 @@ Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
 space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
 by contour quadrature). Bounded fields (KdV) use RK4 over 4th-order central
 differences with an antisymmetric ghost closure consistent with homogeneous
-Dirichlet walls.
+Dirichlet walls; the stencils of every derivative order a model needs are
+stacked as one sparse banded (CSR) operator, applied once per right-hand side.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
+import scipy.sparse
 
 from .core import Axis, Dataset, DatasetError, DiscoveredModel, from_entries
 from .differentiation import fornberg_weights
@@ -103,17 +105,32 @@ def _ghost_matrix(n: int, dx: float, order: int, accuracy: int = 4) -> np.ndarra
     return d
 
 
-def _fd_rhs(model: DiscoveredModel, mats):
+def _stencil_operator(n: int, dx: float, orders) -> scipy.sparse.csr_array:
+    """The ghost-closure matrices of the derivative orders stacked, in that
+    order, as one CSR operator: rows i n to (i + 1) n - 1 hold the i-th
+    order's. The conversion keeps the matrices' nonzero entries exactly."""
+    return scipy.sparse.csr_array(np.vstack([_ghost_matrix(n, dx, q) for q in orders]))
+
+
+def _fd_rhs(model: DiscoveredModel, n: int, dx: float):
+    """Right-hand side of a Dirichlet model on n points. A call applies one
+    stacked stencil operator to u, so each derivative order the terms use is
+    evaluated once, and sets the wall values to zero."""
     def rhs(u):
         powers = power_tables({field: u}, degrees)
-        derivs = {key: mats[key[1][0]] @ u for key in mats_keys}
+        du = op @ u if rows else None
+        derivs = {key: du[block] for key, block in rows.items()}
         out = _weighted_sum(groups, powers, derivs) if groups else np.zeros_like(u)
         out[0] = 0.0
         out[-1] = 0.0
         return out
 
     field = model.target_field
-    mats_keys = [t.deriv for t in model.terms if t.deriv is not None]
+    keys = {t.deriv for t in model.terms if t.deriv is not None}
+    orders = sorted({key[1][0] for key in keys})
+    blocks = {q: slice(i * n, (i + 1) * n) for i, q in enumerate(orders)}
+    rows = {key: blocks[key[1][0]] for key in keys}
+    op = _stencil_operator(n, dx, orders) if orders else None
     degrees = power_degrees(model.terms)
     groups = _grouped(zip(model.terms, model.coefficients))
     return rhs
@@ -154,9 +171,7 @@ def _fd_slices(models, initial, space_axes, time_axis, dt):
 
 
 def _fd_rk4_steps(model, u, dx, dt, stride, count):
-    orders = sorted({t.deriv[1][0] for t in model.terms if t.deriv is not None})
-    mats = {q: _ghost_matrix(u.size, dx, q) for q in orders}
-    rhs = _fd_rhs(model, mats)
+    rhs = _fd_rhs(model, u.size, dx)
     for _ in range(count):
         for _ in range(stride):
             k1 = rhs(u)

@@ -150,6 +150,14 @@ class TestSampleSet:
         assert np.array_equal(s.indices, idx)   # kept in the given order
         assert s.n == 20
 
+    def test_caller_array_stays_writeable(self):
+        idx = np.arange(20, dtype=np.int64)[::-1].copy()
+        s = SampleSet(idx, 0, "uniform-random", self.SHAPE)
+        assert idx.flags.writeable
+        assert not s.indices.flags.writeable
+        idx[0] = 0                              # the set keeps its own values
+        assert s.indices[0] == 19
+
 
 class TestAddNoise:
     def test_gamma_zero_identity(self):

@@ -339,6 +339,18 @@ class TestReduceIndependent:
         assert red.n_terms == 6
         assert np.array_equal(red.matrix, lib.matrix)
 
+    def test_library_matrix_left_unchanged(self):
+        # the QR factors a private copy in place: the library's own
+        # column-major matrix keeps its values
+        lib = random_library(m=5)
+        matrix = np.array(np.column_stack([lib.matrix, lib.matrix[:, 2]]), order="F")
+        saved = matrix.copy()
+        terms = lib.terms + (TermDescriptor((("u", 9),)),)
+        red = reduce_independent(Library(terms, matrix, lib.target, lib.sample_set, "u",
+                                         lib.spec))
+        assert np.array_equal(matrix, saved)
+        assert red.n_terms == 5
+
     def test_idempotent(self):
         lib = random_library(m=5)
         matrix = np.column_stack([lib.matrix, lib.matrix[:, 2]])

@@ -8,7 +8,8 @@ from bgsindy import (Axis, Dataset, DatasetError, DiscoveredModel, SolverInstabi
                      TermDescriptor, integrate_model, relative_l2)
 from bgsindy.benchmarks import discovery_recipe
 from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark, reference_model,
-                              _integrate, _spectral_grid, _spectral_term_rhs)
+                              _fd_rhs, _ghost_matrix, _integrate, _spectral_grid,
+                              _spectral_term_rhs, _stencil_operator)
 
 
 class TestKdv:
@@ -53,6 +54,48 @@ class TestKdv:
         c = replace(default_config("kdv"), dt=0.01, output_stride=1, t_final=1.0)
         with pytest.raises(SolverInstability):
             generate_benchmark("kdv", c)
+
+    def test_generation_byte_identical(self):
+        c = replace(default_config("kdv"), t_final=0.05)
+        a, b = generate_benchmark("kdv", c), generate_benchmark("kdv", c)
+        assert a.fields["u"].tobytes() == b.fields["u"].tobytes()
+
+
+class TestStencilOperator:
+    N = 260
+    DX = 2.0 / 259      # the KdV benchmark's grid
+
+    def test_stacked_operator_reproduces_dense_products(self, rng):
+        orders = [1, 2, 3, 4]
+        dense = [_ghost_matrix(self.N, self.DX, q) for q in orders]
+        op = _stencil_operator(self.N, self.DX, orders)
+        assert np.array_equal(op.toarray(), np.vstack(dense))    # entries copied exactly
+        assert op.nnz == sum(np.count_nonzero(d) for d in dense)
+        u = rng.standard_normal(self.N)
+        du = op @ u
+        for i, d in enumerate(dense):
+            expect = d @ u
+            got = du[i * self.N:(i + 1) * self.N]
+            # every row, the two wall rows with their ghost closure among them
+            assert_close_to_scale(got, expect, rtol=1e-14)
+            assert expect[0] != 0 and expect[-1] != 0
+
+    def test_shared_first_derivative_matches_dense_rhs(self, rng):
+        # u u_x and u^2 u_x share u_x; u_xxx brings a second order
+        terms = (TermDescriptor((("u", 1),), ("u", (1,))),
+                 TermDescriptor((("u", 2),), ("u", (1,))),
+                 TermDescriptor((), ("u", (3,))))
+        coefs = np.array([-1.0, 0.3, -4.84e-4])
+        model = DiscoveredModel(terms, coefs, "u", 0.0)
+        x = self.DX * np.arange(self.N)
+        u = np.sin(np.pi * x / 2.0) * (1.0 + 0.1 * rng.standard_normal(self.N))
+        d1 = _ghost_matrix(self.N, self.DX, 1) @ u
+        d3 = _ghost_matrix(self.N, self.DX, 3) @ u
+        expect = coefs[0] * u * d1 + coefs[1] * u**2 * d1 + coefs[2] * d3
+        expect[[0, -1]] = 0.0
+        got = _fd_rhs(model, self.N, self.DX)(u)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert_close_to_scale(got, expect)
 
 
 class TestBurgersHyper:
