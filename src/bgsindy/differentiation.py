@@ -47,8 +47,17 @@ def fornberg_weights(x0: float, nodes, order: int) -> np.ndarray:
     return c[:, order]
 
 
-def _central_half_width(order: int, accuracy: int) -> int:
-    return (order + 1) // 2 + (accuracy + 1) // 2 - 1
+def central_weights(orders, spacing: float, accuracy: int = 4) -> np.ndarray:
+    """Central finite-difference weights, one column per derivative order q:
+    the Fornberg weights at the given accuracy divided by spacing**q, centred
+    on the middle row and zero-padded to the widest stencil."""
+    halves = [(q + 1) // 2 + (accuracy + 1) // 2 - 1 for q in orders]
+    width = max(halves, default=0)
+    table = np.zeros((2 * width + 1, len(halves)))
+    for i, (q, half) in enumerate(zip(orders, halves)):
+        offs = np.arange(-half, half + 1, dtype=float)
+        table[width - half:width + half + 1, i] = fornberg_weights(0.0, offs, q) / spacing**q
+    return table
 
 
 def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
@@ -66,24 +75,20 @@ def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
     width = order + accuracy
     if m < width:
         raise DatasetError(f"axis of length {m} too short for order {order} accuracy {accuracy}")
-    half = _central_half_width(order, accuracy)
-    offs = np.arange(-half, half + 1, dtype=float)
-    wc = fornberg_weights(0.0, offs, order) / spacing**order
+    wc = central_weights([order], spacing, accuracy)[:, 0]
+    half = wc.size // 2
 
     f = np.moveaxis(values, axis, -1)
-    out = np.empty_like(f, dtype=np.float64)
     if periodic:
-        acc = np.zeros_like(f, dtype=np.float64)
-        for s, w in zip(range(-half, half + 1), wc):
-            acc += w * np.roll(f, -s, axis=-1)
-        out[...] = acc
-    else:
-        out[..., half:m - half] = sliding_window_view(f, 2 * half + 1, axis=-1) @ wc
-        for i in range(half):
-            wl = fornberg_weights(float(i), np.arange(width, dtype=float), order)
-            out[..., i] = f[..., :width] @ (wl / spacing**order)
-            wr = fornberg_weights(float(width - 1 - i), np.arange(width, dtype=float), order)
-            out[..., m - 1 - i] = f[..., m - width:] @ (wr / spacing**order)
+        f = np.concatenate([f[..., m - half:], f, f[..., :half]], axis=-1)
+        return np.moveaxis(sliding_window_view(f, wc.size, axis=-1) @ wc, -1, axis)
+    out = np.empty_like(f, dtype=np.float64)
+    out[..., half:m - half] = sliding_window_view(f, wc.size, axis=-1) @ wc
+    for i in range(half):
+        wl = fornberg_weights(float(i), np.arange(width, dtype=float), order)
+        out[..., i] = f[..., :width] @ (wl / spacing**order)
+        wr = fornberg_weights(float(width - 1 - i), np.arange(width, dtype=float), order)
+        out[..., m - 1 - i] = f[..., m - width:] @ (wr / spacing**order)
     return np.moveaxis(out, -1, axis)
 
 

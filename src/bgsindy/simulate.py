@@ -7,8 +7,9 @@ Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
 space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
 by contour quadrature). Bounded fields (KdV) use RK4 over 4th-order central
 differences with an antisymmetric ghost closure consistent with homogeneous
-Dirichlet walls; the stencils of every derivative order a model needs are
-stacked as one sparse banded (CSR) operator, applied once per right-hand side.
+Dirichlet walls: each right-hand side pads u with its odd reflection about
+both walls and applies the central stencils of every derivative order a model
+needs (`differentiation.central_weights`) in one windowed product.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy.sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Axis, Dataset, DatasetError, DiscoveredModel, from_entries
-from .differentiation import fornberg_weights
+from .differentiation import central_weights
 from .library import TermDescriptor, power_degrees, power_table, power_tables
 
 BLOWUP_LIMIT = 1e6
@@ -88,38 +89,19 @@ def _weighted_sum(groups, powers, derivs):
 # ---------------------------------------------------------------------------
 # bounded FD machinery (KdV and Dirichlet model integration)
 
-def _ghost_matrix(n: int, dx: float, order: int, accuracy: int = 4) -> np.ndarray:
-    """Central-difference matrix with odd-reflection ghosts about both walls."""
-    half = (order + 1) // 2 + (accuracy + 1) // 2 - 1
-    w = fornberg_weights(0.0, np.arange(-half, half + 1, dtype=float), order) / dx**order
-    d = np.zeros((n, n))
-    for i in range(n):
-        for s, c in zip(range(-half, half + 1), w):
-            j = i + s
-            if j < 0:
-                d[i, -j] -= c
-            elif j >= n:
-                d[i, 2 * (n - 1) - j] -= c
-            else:
-                d[i, j] += c
-    return d
-
-
-def _stencil_operator(n: int, dx: float, orders) -> scipy.sparse.csr_array:
-    """The ghost-closure matrices of the derivative orders stacked, in that
-    order, as one CSR operator: rows i n to (i + 1) n - 1 hold the i-th
-    order's. The conversion keeps the matrices' nonzero entries exactly."""
-    return scipy.sparse.csr_array(np.vstack([_ghost_matrix(n, dx, q) for q in orders]))
-
-
 def _fd_rhs(model: DiscoveredModel, n: int, dx: float):
-    """Right-hand side of a Dirichlet model on n points. A call applies one
-    stacked stencil operator to u, so each derivative order the terms use is
+    """Right-hand side of a Dirichlet model on n points. A call pads u with
+    its odd reflection about both walls (u_-j = -u_j, the ghost closure of
+    homogeneous Dirichlet walls), applies the central stencils of every
+    derivative order the terms use in one windowed product, so each order is
     evaluated once, and sets the wall values to zero."""
     def rhs(u):
+        padded[h:h + n] = u
+        np.negative(u[h:0:-1], out=padded[:h])
+        np.negative(u[-2:-h - 2:-1], out=padded[h + n:])
+        du = stencils @ columns
         powers = power_tables({field: u}, degrees)
-        du = op @ u if rows else None
-        derivs = {key: du[block] for key, block in rows.items()}
+        derivs = {key: du[row] for key, row in rows.items()}
         out = _weighted_sum(groups, powers, derivs) if groups else np.zeros_like(u)
         out[0] = 0.0
         out[-1] = 0.0
@@ -128,29 +110,31 @@ def _fd_rhs(model: DiscoveredModel, n: int, dx: float):
     field = model.target_field
     keys = {t.deriv for t in model.terms if t.deriv is not None}
     orders = sorted({key[1][0] for key in keys})
-    blocks = {q: slice(i * n, (i + 1) * n) for i, q in enumerate(orders)}
-    rows = {key: blocks[key[1][0]] for key in keys}
-    op = _stencil_operator(n, dx, orders) if orders else None
+    rows = {key: orders.index(key[1][0]) for key in keys}
+    stencils = central_weights(orders, dx).T
+    h = stencils.shape[1] // 2
+    padded = np.empty(n + 2 * h)
+    # a view of padded: column i holds the points of u_i's stencils
+    columns = sliding_window_view(padded, 2 * h + 1).T
     degrees = power_degrees(model.terms)
     groups = _grouped(zip(model.terms, model.coefficients))
     return rhs
 
 
 def _fd_stability_step(model: DiscoveredModel, dx: float) -> float:
-    """Conservative RK4 step bound from worst-case stencil symbols."""
+    """Conservative RK4 step bound from the worst-case symbols of the
+    integrator's stencils."""
+    orders = sorted({t.deriv[1][0] for t in model.terms if t.deriv is not None})
+    amps = dict(zip(orders, np.abs(central_weights(orders, dx)).sum(axis=0)))
     bound = 0.0
     for t, c in zip(model.terms, model.coefficients):
         if t.deriv is None:
             bound += abs(c)
             continue
-        q = t.deriv[1][0]
-        half = (q + 1) // 2 + 2
-        w = fornberg_weights(0.0, np.arange(-half, half + 1, dtype=float), q)
-        amp = np.abs(w).sum() / dx**q
         scale = 1.0
         for _, p in t.powers:
             scale *= 1.5 ** p    # crude bound on |u|^p near unit-amplitude data
-        bound += abs(c) * amp * scale
+        bound += abs(c) * amps[t.deriv[1][0]] * scale
     return 2.5 / bound if bound > 0 else np.inf
 
 

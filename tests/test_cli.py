@@ -240,3 +240,13 @@ class TestErrors:
                               cwd=Path(bgsindy.__file__).resolve().parents[1])
         assert proc.returncode == 4
         assert "error" in proc.stderr
+
+
+class TestImport:
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys, bgsindy; print('scipy.sparse' in sys.modules)"],
+                              capture_output=True, text=True,
+                              cwd=Path(bgsindy.__file__).resolve().parents[1])
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bgsindy import Axis, Dataset, DatasetError
-from bgsindy.differentiation import (bump_filter, bump_kernel, corner_half_width,
-                                     fd_diff, fornberg_weights, sg_smooth,
-                                     spectral_diff, time_derivative)
+from bgsindy.differentiation import (bump_filter, bump_kernel, central_weights,
+                                     corner_half_width, fd_diff, fornberg_weights,
+                                     sg_smooth, spectral_diff, time_derivative)
 
 
 def dataset_1d(values, dx=0.1, dt=0.1, boundary="dirichlet-homogeneous"):
@@ -21,6 +21,40 @@ class TestFornberg:
     def test_fourth_order_first_derivative(self):
         w = fornberg_weights(0.0, np.arange(-2.0, 3.0), 1)
         assert np.allclose(w, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12])
+
+
+def central_half_width(order, accuracy):
+    """Half-width of the central stencil of the given order and accuracy."""
+    return (order + 1) // 2 + accuracy // 2 - 1
+
+
+class TestCentralWeights:
+    DX = 0.037
+
+    @pytest.mark.parametrize("accuracy", [2, 4, 6, 8])
+    def test_single_order_column_is_scaled_fornberg(self, accuracy):
+        for q in range(1, 11):
+            h = central_half_width(q, accuracy)
+            expect = fornberg_weights(0.0, np.arange(-h, h + 1, dtype=float), q) / self.DX**q
+            table = central_weights([q], self.DX, accuracy)
+            assert table.shape == (2 * h + 1, 1)
+            assert np.array_equal(table[:, 0], expect)
+
+    @pytest.mark.parametrize("accuracy", [2, 4, 6, 8])
+    def test_multi_order_table_zero_outside_each_stencil(self, accuracy):
+        orders = [3, 1, 4, 2]
+        table = central_weights(orders, self.DX, accuracy)
+        width = max(central_half_width(q, accuracy) for q in orders)
+        assert table.shape == (2 * width + 1, len(orders))
+        for i, q in enumerate(orders):
+            h = central_half_width(q, accuracy)
+            inside = slice(width - h, width + h + 1)
+            assert np.array_equal(table[inside, i],
+                                  central_weights([q], self.DX, accuracy)[:, 0])
+            assert not table[:width - h, i].any() and not table[width + h + 1:, i].any()
+
+    def test_no_orders_empty_table(self):
+        assert central_weights([], self.DX).shape == (1, 0)
 
 
 class TestFdDerivative:
@@ -59,6 +93,18 @@ class TestFdDerivative:
         d1 = fd_diff(a * f + b * g, 0, 0.1, 2, 4)
         d2 = a * fd_diff(f, 0, 0.1, 2, 4) + b * fd_diff(g, 0, 0.1, 2, 4)
         assert np.allclose(d1, d2, atol=1e-10)
+
+    @pytest.mark.parametrize("accuracy", [2, 4, 6, 8])
+    def test_periodic_matches_roll_reference(self, rng, accuracy):
+        f = rng.standard_normal((24, 17))
+        dx = 0.21
+        for axis in (0, 1):
+            for q in range(1, 5):
+                h = central_half_width(q, accuracy)
+                w = fornberg_weights(0.0, np.arange(-h, h + 1, dtype=float), q) / dx**q
+                expect = sum(c * np.roll(f, -s, axis=axis) for s, c in zip(range(-h, h + 1), w))
+                got = fd_diff(f, axis, dx, q, accuracy, periodic=True)
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestSpectralDerivative:

@@ -7,9 +7,10 @@ from scipy.integrate import solve_ivp
 from bgsindy import (Axis, Dataset, DatasetError, DiscoveredModel, SolverInstability,
                      TermDescriptor, integrate_model, relative_l2)
 from bgsindy.benchmarks import discovery_recipe
+from bgsindy.differentiation import central_weights, fornberg_weights
 from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark, reference_model,
-                              _fd_rhs, _ghost_matrix, _integrate, _spectral_grid,
-                              _spectral_term_rhs, _stencil_operator)
+                              _fd_rhs, _fd_stability_step, _integrate, _spectral_grid,
+                              _spectral_term_rhs)
 
 
 class TestKdv:
@@ -61,24 +62,44 @@ class TestKdv:
         assert a.fields["u"].tobytes() == b.fields["u"].tobytes()
 
 
-class TestStencilOperator:
+def ghost_matrix(n, dx, order, accuracy=4):
+    """Central-difference matrix with odd-reflection ghosts about both walls:
+    the dense reference for the Dirichlet integrator's stencils."""
+    half = (order + 1) // 2 + (accuracy + 1) // 2 - 1
+    w = fornberg_weights(0.0, np.arange(-half, half + 1, dtype=float), order) / dx**order
+    d = np.zeros((n, n))
+    for i in range(n):
+        for s, c in zip(range(-half, half + 1), w):
+            j = i + s
+            if j < 0:
+                d[i, -j] -= c
+            elif j >= n:
+                d[i, 2 * (n - 1) - j] -= c
+            else:
+                d[i, j] += c
+    return d
+
+
+class TestDirichletStencils:
     N = 260
     DX = 2.0 / 259      # the KdV benchmark's grid
 
-    def test_stacked_operator_reproduces_dense_products(self, rng):
-        orders = [1, 2, 3, 4]
-        dense = [_ghost_matrix(self.N, self.DX, q) for q in orders]
-        op = _stencil_operator(self.N, self.DX, orders)
-        assert np.array_equal(op.toarray(), np.vstack(dense))    # entries copied exactly
-        assert op.nnz == sum(np.count_nonzero(d) for d in dense)
-        u = rng.standard_normal(self.N)
-        du = op @ u
-        for i, d in enumerate(dense):
-            expect = d @ u
-            got = du[i * self.N:(i + 1) * self.N]
-            # every row, the two wall rows with their ghost closure among them
+    @pytest.mark.parametrize("n", [4, 5, 8, 260])
+    def test_rhs_matches_ghost_matrix_oracle(self, rng, n):
+        u = rng.standard_normal(n)
+        derivs = [TermDescriptor((), ("u", (q,))) for q in (1, 2, 3, 4)]
+        expects = []
+        for q, term in enumerate(derivs, start=1):
+            expect = ghost_matrix(n, self.DX, q) @ u
+            expect[[0, -1]] = 0.0
+            got = _fd_rhs(DiscoveredModel((term,), np.array([1.0]), "u", 0.0), n, self.DX)(u)
+            # every row, the wall rows zeroed
             assert_close_to_scale(got, expect, rtol=1e-14)
-            assert expect[0] != 0 and expect[-1] != 0
+            expects.append(expect)
+        # all four orders in one product, each term reading its own order's row
+        coefs = np.array([1.0, -0.3, 2e-3, -1e-5])
+        got = _fd_rhs(DiscoveredModel(tuple(derivs), coefs, "u", 0.0), n, self.DX)(u)
+        assert_close_to_scale(got, sum(c * e for c, e in zip(coefs, expects)), rtol=1e-14)
 
     def test_shared_first_derivative_matches_dense_rhs(self, rng):
         # u u_x and u^2 u_x share u_x; u_xxx brings a second order
@@ -89,13 +110,27 @@ class TestStencilOperator:
         model = DiscoveredModel(terms, coefs, "u", 0.0)
         x = self.DX * np.arange(self.N)
         u = np.sin(np.pi * x / 2.0) * (1.0 + 0.1 * rng.standard_normal(self.N))
-        d1 = _ghost_matrix(self.N, self.DX, 1) @ u
-        d3 = _ghost_matrix(self.N, self.DX, 3) @ u
+        d1 = ghost_matrix(self.N, self.DX, 1) @ u
+        d3 = ghost_matrix(self.N, self.DX, 3) @ u
         expect = coefs[0] * u * d1 + coefs[1] * u**2 * d1 + coefs[2] * d3
         expect[[0, -1]] = 0.0
         got = _fd_rhs(model, self.N, self.DX)(u)
         assert got[0] == 0.0 and got[-1] == 0.0
         assert_close_to_scale(got, expect)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("c", [0.7, -4.84e-4])
+    def test_stability_step_from_integrator_stencil(self, q, c):
+        model = DiscoveredModel((TermDescriptor((), ("u", (q,))),), np.array([c]), "u", 0.0)
+        step = _fd_stability_step(model, self.DX)
+        w = central_weights([q], self.DX)[:, 0]
+        assert step == pytest.approx(2.5 / (abs(c) * np.abs(w).sum()), rel=1e-14)
+        # |c| times the largest modulus of the stencil's symbol bounds the
+        # eigenvalues of the semi-discrete operator
+        theta = np.linspace(0.0, np.pi, 2001)
+        offsets = np.arange(w.size) - w.size // 2
+        symbol = np.exp(1j * np.outer(theta, offsets)) @ w
+        assert step * abs(c) * np.abs(symbol).max() <= 2.5
 
 
 class TestBurgersHyper:
