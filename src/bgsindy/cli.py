@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baselines import stlsq, train_stridge
@@ -58,12 +59,28 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# The BLAS thread count moves round-off in the factorizations, so artifacts
+# are byte-identical only between runs with the same settings.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numerical_environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+    }
+
+
 def _write_manifest(outdir: Path, command: str, config: dict):
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
         "config_sha256": hashlib.sha256(_canonical(config).encode()).hexdigest(),
+        "environment": _numerical_environment(),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 

@@ -8,7 +8,9 @@ residual ratio first exceeds tau.
 The score depends on the library only through |phi|, so it is computed from
 |phi| stored as one contiguous row per library column: a running maximum over
 the active rows gives one N-vector of row weights, and each term's score is
-one dot product with it. No N x K product is formed while pruning.
+one dot product with it. The misfit is one product of the library itself with
+the coefficients zero-filled at every dropped term. So pruning keeps one
+N x K array beside the library, |phi|, and forms no N x K product.
 """
 
 from __future__ import annotations
@@ -104,36 +106,35 @@ def _argmin_with_tie_break(W: np.ndarray) -> int:
 
 
 class _ActiveSystem:
-    """The active columns of a library and the LS refits against them.
+    """The LS refits and scores of active subsets of a library's columns.
 
-    The columns live in a column-major working copy that is compacted in
-    place when a term is dropped; `library.matrix` is never written. |phi|
-    is kept once, as K x N with one contiguous row per library column, in
-    library order and never compacted: the importances are read from it
-    (`_row_weights`, `_global_importance`), and the misfit from the signed
-    working copy. Refits go through a one-time QR compression (N x M -> M x M),
-    which leaves solutions unchanged up to round-off: the R factor of
-    [phi | y] holds R and Q^T y, so Q is never formed. The factorization
-    runs in place on a column-major [phi | y] and, in "raw" mode, returns
-    only the (M + 1) x (M + 1) upper triangle; that block is all that is
-    kept, and no N-row copy of the factor is made. Residuals are always
-    evaluated directly on the full data; the compressed form condenses
+    The library is never copied or written. |phi| is kept once, as K x N
+    with one contiguous row per library column, in library order: the
+    importances are read from it (`_row_weights`, `_global_importance`).
+    The misfit is `library.matrix @ xi_full - y`, with xi_full zero at every
+    dropped term, so no signed working copy is kept either. Refits go
+    through a one-time QR compression (N x M -> M x M), which leaves
+    solutions unchanged up to round-off: the R factor of [phi | y] holds R
+    and Q^T y, so Q is never formed. The factorization runs in place on a
+    column-major [phi | y] and, in "raw" mode, returns only the
+    (M + 1) x (M + 1) upper triangle; that block is all that is kept, and no
+    N-row copy of the factor is made. Residuals are always evaluated
+    directly on the full data; the compressed form condenses
     large-magnitude rows and wobbles at the round-off floor.
     """
 
     def __init__(self, library: Library):
         n, m = library.matrix.shape
         self.n = n
-        self.k = m
+        self.phi = library.matrix
         self.y = library.target
         aug = np.empty((n, m + 1), order="F")
-        aug[:, :m] = library.matrix
+        aug[:, :m] = self.phi
         aug[:, m] = self.y
         top = scipy.linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
-        del aug     # before the working copy: keeps the peak memory down
+        del aug     # before |phi|: keeps the peak memory down
         self.r, self.qty = top[:m, :m], top[:m, m]
-        self.cols = np.array(library.matrix, order="F")
-        self.absphi = np.abs(library.matrix.T, order="C")
+        self.absphi = np.abs(self.phi.T, order="C")
 
     def fit(self, active: list[int]) -> np.ndarray:
         return _svd_solve(self.r[:, active], self.qty)[0]
@@ -141,16 +142,13 @@ class _ActiveSystem:
     def score(self, active: list[int], xi: np.ndarray,
               epsilon_rel: float) -> tuple[float, np.ndarray]:
         """Residual and global importances of the active set at xi."""
-        misfit = self.cols[:, :self.k] @ xi - self.y
+        xi_full = np.zeros(self.phi.shape[1])
+        xi_full[active] = xi
+        misfit = self.phi @ xi_full - self.y
         absxi = np.abs(xi)
         r = _row_weights(self.absphi, active, absxi, epsilon_rel)
         return (float(misfit @ misfit) / self.n,
                 _global_importance(self.absphi, active, absxi, r))
-
-    def drop(self, j: int) -> None:
-        for c in range(j, self.k - 1):
-            self.cols[:, c] = self.cols[:, c + 1]
-        self.k -= 1
 
 
 def _select(residuals: list[float], tau: float) -> int:
@@ -187,7 +185,6 @@ def discover(library: Library, config: PrunerConfig = PrunerConfig()
         j = _argmin_with_tie_break(W)
         iterations.append(PruneIteration(tuple(active), xi, W, active[j], res))
         del active[j]
-        system.drop(j)
 
     selected = _select([it.residual for it in iterations], config.tau)
     sel = iterations[selected]

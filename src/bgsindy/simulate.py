@@ -518,10 +518,9 @@ BENCHMARKS = {
                 "smooth": [{"axis": "t", "window": 31, "degree": 3},
                            {"axis": "x", "window": 7, "degree": 3}],
                 "sample": {"strategy": "all", "n": None}}),
-    # Viscous Burgers with a vanishing hyperviscosity term, on half the
-    # published 4048-point grid.
+    # Viscous Burgers with a vanishing hyperviscosity term.
     "burgers-hyper": Benchmark(
-        config=BenchmarkConfig("burgers-hyper", ((0.0, 32 * math.pi),), (2048,),
+        config=BenchmarkConfig("burgers-hyper", ((0.0, 32 * math.pi),), (4048,),
                                0.1, 1, 1e-3, 100.0),
         boundary="periodic",
         equations=lambda eps: {"u": [(_flux(1), -1.0), (_deriv("u", 2), 0.5),

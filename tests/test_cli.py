@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import bgsindy
 from bgsindy.cli import main
@@ -37,6 +38,22 @@ class TestGenerateDiscover:
             assert (run / name).exists()
         model = json.loads((run / "model.json").read_text())
         assert model["target_field"] == "u"
+
+    def test_manifest_records_numerical_environment(self, tiny_run, tmp_path,
+                                                     monkeypatch):
+        root, _, _ = tiny_run
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        assert main(["generate", "kdv", "--config", str(root / "kdv.json"),
+                     "--out", str(tmp_path)]) == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                        "MKL_NUM_THREADS": ""}}
 
     def test_discovered_structure_on_short_horizon(self, tiny_run):
         _, _, run = tiny_run

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -157,8 +158,8 @@ class TestReferenceLoop:
 class TestActiveSystem:
     def test_no_n_row_array_but_working_copy(self):
         # the R factor of [phi | y] is N x (M + 1); only a copy of its top
-        # block may stay alive, not views into the whole factor, and |phi|
-        # is kept as M x N
+        # block may stay alive, not views into the whole factor; |phi| is
+        # kept as M x N, and the library itself is held, not copied
         lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
         system = _ActiveSystem(lib)
         n_row = {}
@@ -171,10 +172,23 @@ class TestActiveSystem:
             if root.shape[0] == lib.n_samples:
                 n_row[name] = root
         assert n_row.pop("y") is lib.target
-        assert sorted(n_row) == ["cols"]
+        assert n_row.pop("phi") is lib.matrix
+        assert n_row == {}
         assert system.absphi.shape == (lib.n_terms, lib.n_samples)
         assert system.absphi.flags.c_contiguous
         assert system.r.base.shape == (lib.n_terms + 1, lib.n_terms + 1)
+
+    def test_discover_peak_memory_below_one_and_a_half_libraries(self):
+        # the raw QR's [phi | y] buffer, then |phi|, are the only N x K
+        # arrays discover allocates beside the library
+        lib, _ = synthetic_library(n=200_000, m=10, k_true=3, noise=1e-4, seed=6)
+        tracemalloc.start()
+        try:
+            discover(lib)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * lib.matrix.nbytes
 
 
 class TestDiscover:
