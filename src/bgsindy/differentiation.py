@@ -16,6 +16,7 @@ from .core import Dataset, DatasetError
 MAX_ORDER = 10
 MAX_ACCURACY = 8
 DIRECT_TAPS = 48      # direct sums beat the FFT up to here (260 x 3001 grid)
+SAMPLE_CHUNK = 1024   # points per block in `spectral_diff_at`
 
 
 def fornberg_weights(x0: float, nodes, order: int) -> np.ndarray:
@@ -117,6 +118,55 @@ def spectral_diff(values: np.ndarray, axis: int, spacing: float, order: int,
         spectrum = axis_spectrum(values, axis)
     out = np.fft.irfft(spectrum * mult, n=m, axis=-1)
     return np.moveaxis(out, -1, axis)
+
+
+def spectral_diff_at(spectrum: np.ndarray, axis: int, n: int, spacing: float, orders,
+                     points) -> np.ndarray:
+    """Spectral derivatives of several orders at chosen grid points, one row
+    per order.
+
+    `spectrum` is `axis_spectrum(values, axis)` of an array whose `axis` has
+    n points, and `points` holds one index array per axis of that array (as
+    `np.unravel_index` gives them). Each point's value is the Fourier series
+    of its grid line summed at the point:
+    sum_k w_k Re((ik)^q S_k e^{i k x}) / n, with w = 1 at the mean and
+    Nyquist modes and 2 elsewhere, and the Nyquist mode zeroed for odd orders
+    as in `spectral_diff`. Points go in fixed-size chunks; each chunk gathers
+    its block of modes once, and every order is summed from it by a numpy
+    reduction, not BLAS, so the result does not depend on the thread count.
+    """
+    if any(q < 1 or q > MAX_ORDER for q in orders):
+        raise DatasetError(f"derivative order must be in 1..{MAX_ORDER}")
+    modes = n // 2 + 1
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
+    weight = np.full(modes, 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:
+        weight[-1] = 1.0 / n
+    # Re(i^q z) is Re z, -Im z, -Re z, Im z for q = 0, 1, 2, 3 (mod 4)
+    coefs = []
+    for q in orders:
+        c = weight * k**q * (1.0, -1.0, -1.0, 1.0)[q % 4]
+        if n % 2 == 0 and q % 2:
+            c[-1] = 0.0
+        coefs.append(c)
+    # e^{i k x} for each distinct position along the axis, from the n-th
+    # roots of unity; the modes of a line are gathered from C order, where
+    # they are adjacent
+    positions, position_row = np.unique(points[axis], return_inverse=True)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    phases = roots[np.multiply.outer(positions, np.arange(modes)) % n]
+    spectrum = np.ascontiguousarray(spectrum)
+    lines = tuple(points[:axis]) + tuple(points[axis + 1:])
+    out = np.empty((len(orders), position_row.size))
+    for start in range(0, position_row.size, SAMPLE_CHUNK):
+        rows = slice(start, start + SAMPLE_CHUNK)
+        z = spectrum[tuple(c[rows] for c in lines)]
+        z *= phases[position_row[rows]]
+        for i, q in enumerate(orders):
+            # einsum without `optimize` runs numpy's own loops, never BLAS
+            out[i, rows] = np.einsum("sk,k->s", z.imag if q % 2 else z.real, coefs[i])
+    return out
 
 
 def time_derivative(dataset: Dataset, field: str) -> np.ndarray:

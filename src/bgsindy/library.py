@@ -7,6 +7,7 @@ points together with the time-derivative target.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -15,7 +16,7 @@ import scipy.linalg
 
 from .core import Dataset, DatasetError, SampleSet
 from .differentiation import (axis_spectrum, bump_filter, corner_half_width, fd_diff,
-                              spectral_diff, time_derivative)
+                              spectral_diff, spectral_diff_at, time_derivative)
 
 AXIS_LETTERS = ("x", "y")
 
@@ -216,8 +217,16 @@ def terms_for_spec(spec: LibrarySpec, target_field: str,
     return sorted(terms)
 
 
-def _space_derivatives(dataset: Dataset, keys):
-    """(key, derivative) for each (field, orders) key, in order.
+def _sums_at_points_cheaper(n_points: int, shape, axis: int) -> bool:
+    """Does summing a periodic derivative's Fourier series at n_points take
+    fewer operations (points x modes) than inverse-transforming the grid
+    (grid points x log2(axis length)) and sampling it?"""
+    n = shape[axis]
+    return n_points * (n // 2 + 1) < math.prod(shape) * math.log2(n)
+
+
+def _space_derivatives(dataset: Dataset, keys, indices: np.ndarray | None = None) -> dict:
+    """{(field, orders): derivative} for the given (field, orders) keys.
 
     A field that is not periodic gets 4th-order finite differences. A
     periodic one is differentiated spectrally, one axis after the other, and
@@ -225,6 +234,12 @@ def _space_derivatives(dataset: Dataset, keys):
     once, shared by every order taken there, and dropped after its last use:
     one transform of u along x serves u_x, u_xx, ..., and the (1, 1) order
     of a 2D field is the transform of u_x along y.
+
+    With flat grid `indices`, each derivative is returned at those points
+    only. Its last periodic step is then summed directly at the points
+    (`spectral_diff_at`, every order of one transform from one gathered
+    block) wherever that takes fewer operations than the inverse transforms
+    (`_sums_at_points_cheaper`).
     """
     def steps(fname, orders):
         done = [0] * len(orders)
@@ -234,21 +249,49 @@ def _space_derivatives(dataset: Dataset, keys):
                 done[ax] = o
 
     periodic = {f: dataset.boundary[f] == "periodic" for f, _ in keys}
-    uses = Counter(s for f, orders in keys if periodic[f] for s, _, _ in steps(f, orders))
-    spectra = {}
+    shape = dataset.shape
+    direct = {}     # last step summed at the points -> [(key, order)] sharing it
+    runs = []       # keys whose steps are taken, in order
     for fname, orders in keys:
-        values = dataset.fields[fname]
-        for skey, ax, o in steps(fname, orders):
-            spacing = dataset.space_axes[ax].spacing
-            if not periodic[fname]:
-                values = fd_diff(values, ax, spacing, o, accuracy=4)
+        *_, (skey, ax, o) = steps(fname, orders)
+        if (indices is not None and periodic[fname]
+                and _sums_at_points_cheaper(indices.size, shape, ax)):
+            if skey in direct:
+                direct[skey].append(((fname, orders), o))
                 continue
-            if skey not in spectra:
-                spectra[skey] = axis_spectrum(values, ax)
-            uses[skey] -= 1
-            spectrum = spectra[skey] if uses[skey] else spectra.pop(skey)
-            values = spectral_diff(values, ax, spacing, o, spectrum)
-        yield (fname, orders), values
+            direct[skey] = [((fname, orders), o)]
+        runs.append((fname, orders))
+    uses = Counter(s for f, orders in runs if periodic[f] for s, _, _ in steps(f, orders))
+    spectra = {}
+
+    def spectrum(skey, values, ax):
+        if skey not in spectra:
+            spectra[skey] = axis_spectrum(values, ax)
+        uses[skey] -= 1
+        return spectra[skey] if uses[skey] else spectra.pop(skey)
+
+    def derivative(values, skey, ax, o):
+        spacing = dataset.space_axes[ax].spacing
+        if not periodic[skey[0]]:
+            return fd_diff(values, ax, spacing, o, accuracy=4)
+        return spectral_diff(values, ax, spacing, o, spectrum(skey, values, ax))
+
+    coords = np.unravel_index(indices, shape) if direct else None
+    out = {}
+    for fname, orders in runs:
+        values = dataset.fields[fname]
+        *head, (skey, ax, o) = steps(fname, orders)
+        for step in head:
+            values = derivative(values, *step)
+        if skey not in direct:
+            values = derivative(values, skey, ax, o)
+            out[(fname, orders)] = values if indices is None else values.ravel()[indices]
+            continue
+        group = direct[skey]
+        at = spectral_diff_at(spectrum(skey, values, ax), ax, shape[ax],
+                              dataset.space_axes[ax].spacing, [q for _, q in group], coords)
+        out.update(zip((key for key, _ in group), at))
+    return out
 
 
 def _periodic_axes(dataset: Dataset, fname: str) -> tuple[bool, ...]:
@@ -284,7 +327,9 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                   half_widths: tuple[int, ...] | None = None) -> Library:
     """Evaluate the candidate terms and the time-derivative target at samples.
 
-    With a test function (spec.test_function_degree), `half_widths` defaults
+    Grid-local rows take the space derivatives at the samples
+    (`_space_derivatives`); the time target is taken on the full grid. With
+    a test function (spec.test_function_degree), `half_widths` defaults
     to `row_half_widths`, and every sample must lie `row_margins` away from
     the ends of each axis, as `subsample(..., margins=row_margins(...))`
     draws them. Columns are filtered one at a time on the full grid.
@@ -310,8 +355,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
     if spec.test_function_degree is None:
         powers = power_tables({f: dataset.fields[f].ravel()[idx] for f in names},
                               power_degrees(terms))
-        sampled_derivs = {key: full.ravel()[idx]
-                          for key, full in _space_derivatives(dataset, needed)}
+        sampled_derivs = _space_derivatives(dataset, needed, idx)
         for j, t in enumerate(terms):
             matrix[:, j] = t.evaluate(powers, sampled_derivs)
         target = time_target().ravel()[idx]
@@ -331,7 +375,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                                periodic)[inner]
 
         powers = power_tables({f: dataset.fields[f] for f in names}, power_degrees(terms))
-        derivs = dict(_space_derivatives(dataset, needed))
+        derivs = _space_derivatives(dataset, needed)
         for j, t in enumerate(terms):
             matrix[:, j] = rows(t.evaluate(powers, derivs))
         target = rows(time_target())

@@ -569,12 +569,14 @@ def default_config(benchmark: str) -> BenchmarkConfig:
 def reference_model(benchmark: str, field_name: str = "u",
                     epsilon: float | None = None) -> DiscoveredModel:
     """Exact governing-equation terms and coefficients of a benchmark field, at
-    the published epsilon unless one is given."""
+    the published epsilon unless one is given. Terms whose coefficient is
+    exactly zero (the epsilon terms at epsilon = 0) are left out."""
     entry = _benchmark(benchmark)
     equations = entry.equations(entry.config.epsilon if epsilon is None else epsilon)
     if field_name not in equations:
         raise DatasetError(f"benchmark {benchmark!r} has no field {field_name!r}")
-    pairs = sorted(equations[field_name], key=lambda tc: tc[0].canonical_key())
+    pairs = sorted(((t, c) for t, c in equations[field_name] if c != 0),
+                   key=lambda tc: tc[0].canonical_key())
     return DiscoveredModel(tuple(t for t, _ in pairs),
                            np.array([c for _, c in pairs], dtype=float),
                            field_name, 0.0)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,32 @@ class TestGenerateDiscover:
         report = json.loads(capsys.readouterr().out)
         assert report["structure"]["match"] is True
         assert report["relative_l2"]["v"] <= 0.01
+
+    def test_validate_exact_model_at_epsilon_zero(self, tmp_path, capsys):
+        # at epsilon = 0 the four u^k u_x fluxes have coefficient -0.0; they
+        # are not reference terms, so the exact model matches with no
+        # division by a zero coefficient
+        reference = bgsindy.reference_model("modified-ks", epsilon=0.0)
+        assert len(reference.terms) == 3
+        assert np.all(reference.coefficients != 0)
+        cfg = tmp_path / "ks.json"
+        cfg.write_text(json.dumps({
+            "benchmark": "modified-ks", "bounds": [[0.0, 22.0]], "counts": [64],
+            "dt": 0.004, "output_stride": 1, "epsilon": 0.0, "t_final": 1.0}))
+        data = tmp_path / "data"
+        assert main(["generate", "modified-ks", "--config", str(cfg), "--out", str(data)]) == 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(reference.to_json_dict()))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["validate", "--model", str(model),
+                         "--reference", str(data / "modified-ks")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["structure"] == {"match": True, "missing": [], "spurious": []}
+        assert report["coefficient_error"] == 0.0
+        assert report["relative_l2"]["u"] < 1e-12
 
     def test_report(self, tiny_run, capsys):
         _, _, run = tiny_run

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bgsindy import Axis, Dataset, DatasetError
-from bgsindy.differentiation import (bump_filter, bump_kernel, central_weights,
-                                     corner_half_width, fd_diff, fornberg_weights,
-                                     sg_smooth, spectral_diff, time_derivative)
+from bgsindy.differentiation import (axis_spectrum, bump_filter, bump_kernel,
+                                     central_weights, corner_half_width, fd_diff,
+                                     fornberg_weights, sg_smooth, spectral_diff,
+                                     spectral_diff_at, time_derivative)
 
 
 def dataset_1d(values, dx=0.1, dt=0.1, boundary="dirichlet-homogeneous"):
@@ -139,6 +140,47 @@ class TestSpectralDerivative:
         sp = spectral_diff(u, 0, length / n, 1)
         fd = fd_diff(u, 0, length / n, 1, 4, periodic=True)
         assert np.abs(sp - fd).max() < 10 * (length / n) ** 4
+
+
+class TestSpectralDerivativeAtPoints:
+    """Fourier sums at chosen points against `spectral_diff` on the whole
+    grid, then sampled."""
+
+    @staticmethod
+    def field(rng, n, nt):
+        # every mode present, the Nyquist mode of even n included, with an
+        # amplitude that keeps the high orders' columns Nyquist-dominated
+        modes = np.arange(n // 2 + 1)
+        amps = np.exp(-0.2 * modes) * (rng.standard_normal((nt, modes.size))
+                                       + 1j * rng.standard_normal((nt, modes.size)))
+        return np.fft.irfft(amps, n, axis=-1).T          # (n, nt)
+
+    @pytest.mark.parametrize("n", [64, 63])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_orders_1_to_10_match_transform_then_sample(self, rng, n, axis):
+        u = self.field(rng, n, 40)
+        if axis == 1:
+            u = np.ascontiguousarray(u.T)                 # the periodic axis second
+        dx = 22.0 / n
+        idx = rng.choice(u.size, 1500, replace=False)
+        points = np.unravel_index(idx, u.shape)
+        orders = list(range(1, 11))
+        spectrum = axis_spectrum(u, axis)
+        # imaginary parts in the mean and last modes, which the inverse real
+        # transform drops for the mean and an even n's Nyquist mode
+        spectrum[..., [0, -1]] += 1j * rng.standard_normal(spectrum.shape[:-1] + (2,))
+        got = spectral_diff_at(spectrum, axis, n, dx, orders, points)
+        assert got.shape == (10, idx.size)
+        for row, q in zip(got, orders):
+            ref = spectral_diff(u, axis, dx, q, spectrum).ravel()[idx]
+            assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_orders_out_of_range_rejected(self):
+        spectrum = axis_spectrum(np.zeros((8, 4)), 0)
+        points = (np.array([0]), np.array([0]))
+        for q in (0, 11):
+            with pytest.raises(DatasetError):
+                spectral_diff_at(spectrum, 0, 8, 0.1, [1, q], points)
 
 
 class TestTimeDerivative:

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSet,
                      TermDescriptor, add_noise, build_library, reduce_independent,
                      render_term, subsample)
-from bgsindy.benchmarks import build_reduced_library, discovery_recipe, sweep_recipe
+from bgsindy.benchmarks import (build_reduced_library, discovery_recipe, run_discovery,
+                                sweep_recipe)
 from bgsindy.differentiation import bump_filter, bump_kernel
 from bgsindy import library as library_module
 from bgsindy.differentiation import spectral_diff
 from bgsindy.library import (_space_derivatives, row_half_widths, row_margins,
                              terms_for_spec)
-from bgsindy.simulate import reference_model
+from bgsindy.simulate import default_config, generate_benchmark, reference_model
 
 
 def small_dataset(nx=32, nt=20, seed=0):
@@ -210,6 +212,88 @@ class TestSharedTransforms:
         assert sorted(calls) == [0, 0, 1, 1, 1, 1]
         for key in keys:
             assert np.array_equal(got[key], self.per_order(ds, *key))
+
+
+class TestSumsAtSamples:
+    """Grid-local rows take periodic derivatives at their samples; the values
+    match the full-grid transform, sampled."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(library_module, name)
+
+        def counting(values, axis, *args):
+            calls.append(axis)
+            return original(values, axis, *args)
+
+        monkeypatch.setattr(library_module, name, counting)
+        return calls
+
+    @staticmethod
+    def assert_match(got, full, indices):
+        assert got.keys() == full.keys()
+        for key, values in got.items():
+            ref = full[key].ravel()[indices]
+            assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx", [64, 63])
+    def test_1d_orders_1_to_10_from_one_transform(self, monkeypatch, nx):
+        ds = small_dataset(nx=nx, nt=12)
+        keys = [("u", (o,)) for o in range(1, 11)]
+        idx = subsample(ds, 40, "uniform-random", 2).indices
+        full = _space_derivatives(ds, keys)
+        spectra = self.counted(monkeypatch, "axis_spectrum")
+        inverses = self.counted(monkeypatch, "spectral_diff")
+        got = _space_derivatives(ds, keys, idx)
+        assert spectra == [0] and inverses == []
+        self.assert_match(got, full, idx)
+
+    def test_rd2d_orders_including_mixed(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        nx, ny = 16, 12
+        ds = Dataset((Axis(-1.5, 3 / nx, nx), Axis(-1.5, 3 / ny, ny)), Axis(0.0, 0.05, 6),
+                     {"u": rng.standard_normal((nx, ny, 6)),
+                      "v": rng.standard_normal((nx, ny, 6))},
+                     {"u": "periodic", "v": "periodic"})
+        keys = sorted((f, o) for f in ("u", "v")
+                      for o in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+        idx = subsample(ds, 60, "uniform-random", 3).indices
+        full = _space_derivatives(ds, keys)
+        spectra = self.counted(monkeypatch, "axis_spectrum")
+        inverses = self.counted(monkeypatch, "spectral_diff")
+        got = _space_derivatives(ds, keys, idx)
+        # per field: u along y, u along x, u_x along y; the only full-grid
+        # inverse is u_x, the first step of u_xy
+        assert sorted(spectra) == [0, 0, 1, 1, 1, 1]
+        assert inverses == [0, 0]
+        self.assert_match(got, full, idx)
+
+    def test_operation_count_chooses_the_path(self):
+        cheaper = library_module._sums_at_points_cheaper
+        # modified KS (100k rows of 128 x 50001) and rd2d (256 x 256 x 101)
+        assert cheaper(100_000, (128, 50_001), 0)
+        assert cheaper(100_000, (256, 256, 101), 0)
+        assert cheaper(100_000, (256, 256, 101), 1)
+        # burgers-hyper (4048 x 1001), also on a 51-slice horizon at 5000 rows
+        assert not cheaper(100_000, (4048, 1001), 0)
+        assert not cheaper(5000, (4048, 51), 0)
+
+    def test_discovery_matches_transform_path(self, monkeypatch):
+        config = replace(default_config("modified-ks"), counts=(64,), t_final=20.0)
+        ds = generate_benchmark("modified-ks", config)
+        recipe = discovery_recipe("modified-ks")
+        recipe["sample"]["n"] = 4000
+        recipe["library"].update(poly_degree=4, deriv_order=6)
+        assert library_module._sums_at_points_cheaper(4000, ds.shape, 0)
+        model, trace, _ = run_discovery(ds, recipe)
+        monkeypatch.setattr(library_module, "_sums_at_points_cheaper", lambda *a: False)
+        ref_model, ref_trace, _ = run_discovery(ds, recipe)
+        assert trace.selected_iteration == ref_trace.selected_iteration
+        assert ([it.removed for it in trace.iterations]
+                == [it.removed for it in ref_trace.iterations])
+        assert model.terms == ref_model.terms
+        np.testing.assert_allclose(model.coefficients, ref_model.coefficients, rtol=1e-10)
 
 
 class TestRecipes:
