@@ -1,5 +1,7 @@
 """Coefficient-thresholding baselines: sequential thresholded least squares
-and train/validation sequential thresholded ridge regression."""
+and train/validation sequential thresholded ridge regression. Every solve
+runs on one `compress` of the data: STLSQ's library, or TrainSTRidge's
+training split, compressed once; its held-out score stays a tall product."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import numpy as np
 
 from .core import DatasetError, DiscoveredModel
 from .library import Library
-from .regression import least_squares
+from .regression import _svd_solve, compress, least_squares
 
 
 def _model_from_active(library: Library, active: list[int]) -> DiscoveredModel:
@@ -28,45 +30,42 @@ def stlsq(library: Library, threshold: float, max_iter: int = 25) -> DiscoveredM
     """
     if threshold < 0:
         raise DatasetError("threshold must be >= 0")
+    if max_iter < 1:
+        raise DatasetError("max_iter must be >= 1")
+    r, qty = compress(library.matrix, library.target)
     active = list(range(library.n_terms))
     for _ in range(max_iter):
-        fit = least_squares(library.matrix[:, active], library.target)
-        keep = np.abs(fit.coefficients) >= threshold
-        if keep.all():
-            break
+        keep = np.abs(_svd_solve(r[:, active], qty)[0]) >= threshold
         active = [a for a, k in zip(active, keep) if k]
-        if not active:
-            return _model_from_active(library, [])
+        if keep.all() or not active:
+            break
     return _model_from_active(library, active)
 
 
-def _ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0:
-        return np.linalg.lstsq(x, y, rcond=None)[0]
-    k = x.shape[1]
-    return np.linalg.lstsq(
-        np.vstack([x, np.sqrt(lam) * np.eye(k)]),
-        np.concatenate([y, np.zeros(k)]), rcond=None)[0]
+def _ridge(r: np.ndarray, qty: np.ndarray, lam: float) -> np.ndarray:
+    """argmin ||x w - y||^2 + lam ||w||^2, solved as LS on [R; sqrt(lam) I]."""
+    k = r.shape[1]
+    return _svd_solve(np.vstack([r, np.sqrt(lam) * np.eye(k)]),
+                      np.concatenate([qty, np.zeros(k)]))[0]
 
 
-def _stridge(x: np.ndarray, y: np.ndarray, lam: float, iters: int,
+def _stridge(r: np.ndarray, qty: np.ndarray, lam: float, iters: int,
              tol: float) -> np.ndarray:
-    """Inner ridge + hard-threshold loop; thresholds apply to the raw
-    coefficients."""
-    w = _ridge(x, y, lam)
-    big = np.abs(w) >= tol
+    """Inner ridge + hard-threshold loop on the compressed training system;
+    thresholds apply to the raw coefficients."""
+    big = np.abs(_ridge(r, qty, lam)) >= tol
     for _ in range(iters):
         if not big.any():
-            return np.zeros(x.shape[1])
-        w = np.zeros(x.shape[1])
-        w[big] = _ridge(x[:, big], y, lam)
+            break
+        w = np.zeros(r.shape[1])
+        w[big] = _ridge(r[:, big], qty, lam)
         new_big = np.abs(w) >= tol
         if (new_big == big).all():
             break
         big = new_big
+    w = np.zeros(r.shape[1])
     if big.any():
-        w = np.zeros(x.shape[1])
-        w[big] = np.linalg.lstsq(x[:, big], y, rcond=None)[0]
+        w[big] = _svd_solve(r[:, big], qty)[0]
     return w
 
 
@@ -75,37 +74,41 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
                   l0_penalty: float | None = None) -> DiscoveredModel:
     """Threshold search for STRidge scored on a held-out split.
 
-    The validation score is the squared misfit plus an l0 penalty per active
-    term (default 1e-3 times the condition number of the training matrix).
-    The winning support is refit by plain least squares on all data.
+    The training split is compressed once and each solve runs on its R. The
+    score is the held-out squared misfit, a tall product, plus an l0 penalty
+    per active term (default 1e-3 times cond(R), the training matrix's). The
+    winning support is refit by plain least squares on all data.
     Thresholds act on raw coefficients, so terms whose true
     coefficients sit below the explored thresholds are discarded.
     """
     if not 0 < split < 1:
         raise DatasetError("split fraction must be in (0, 1)")
+    if lam < 0:
+        raise DatasetError("lam must be >= 0")
+    if search_iters < 1:
+        raise DatasetError("search_iters must be >= 1")
     n = library.n_samples
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n)
     n_train = int(round(split * n))
     train, test = perm[:n_train], perm[n_train:]
-    x_tr, y_tr = library.matrix[train], library.target[train]
+    r, qty = compress(library.matrix[train], library.target[train])
     x_te, y_te = library.matrix[test], library.target[test]
 
     if l0_penalty is None:
-        l0_penalty = 1e-3 * float(np.linalg.cond(x_tr))
+        l0_penalty = 1e-3 * float(np.linalg.cond(r))
 
-    w_ls = np.linalg.lstsq(x_tr, y_tr, rcond=None)[0]
-    d_tol = float(np.max(np.abs(w_ls))) / search_iters
+    d_tol = float(np.max(np.abs(_svd_solve(r, qty)[0]))) / search_iters
     tol = d_tol
 
     def score(w):
-        r = y_te - x_te @ w
-        return float(r @ r) + l0_penalty * int(np.count_nonzero(w))
+        misfit = y_te - x_te @ w
+        return float(misfit @ misfit) + l0_penalty * int(np.count_nonzero(w))
 
-    w_best = _stridge(x_tr, y_tr, lam, inner_iters, 0.0)
+    w_best = _stridge(r, qty, lam, inner_iters, 0.0)
     err_best = score(w_best)
     for it in range(search_iters):
-        w = _stridge(x_tr, y_tr, lam, inner_iters, tol)
+        w = _stridge(r, qty, lam, inner_iters, tol)
         err = score(w)
         if err <= err_best:
             err_best, w_best = err, w

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,6 +42,22 @@ BASELINE_PARAMS = {
 
 class CliError(Exception):
     pass
+
+
+def _check_baseline_param(method: str, name: str, value) -> None:
+    """Reject a --params value whose JSON type does not fit its default's: a
+    count (int default) must be an integer, the seed a non-negative one, and
+    any other parameter a finite number (or null where the default is)."""
+    default = BASELINE_PARAMS[method][name]
+    if isinstance(default, int):
+        ok = type(value) is int and (name != "seed" or value >= 0)
+        kind = "a non-negative integer" if name == "seed" else "an integer"
+    else:
+        ok = (type(value) is int or (type(value) is float and math.isfinite(value))
+              or (value is None and default is None))
+        kind = "a finite number" + (" or null" if default is None else "")
+    if not ok:
+        raise CliError(f"{method} parameter {name!r} must be {kind}, got {value!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,10 +157,14 @@ def cmd_discover(args) -> int:
 def cmd_baseline(args) -> int:
     recipe = _load_recipe(args)
     params = _read_json(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise CliError("--params must hold a JSON object")
     defaults = BASELINE_PARAMS[args.method]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise CliError(f"unknown {args.method} parameter {unknown[0]!r}")
+    for name, value in params.items():
+        _check_baseline_param(args.method, name, value)
     dataset = load_dataset(args.data)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

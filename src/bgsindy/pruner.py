@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import DatasetError, DiscoveredModel, PruneIteration, PruneTrace
 from .library import Library
-from .regression import _svd_solve
+from .regression import _svd_solve, compress
 
 RES_FLOOR = 1e-30
 DOT_BLOCK = 16384       # rows per partial sum of an importance dot product
@@ -112,28 +111,17 @@ class _ActiveSystem:
     with one contiguous row per library column, in library order: the
     importances are read from it (`_row_weights`, `_global_importance`).
     The misfit is `library.matrix @ xi_full - y`, with xi_full zero at every
-    dropped term, so no signed working copy is kept either. Refits go
-    through a one-time QR compression (N x M -> M x M), which leaves
-    solutions unchanged up to round-off: the R factor of [phi | y] holds R
-    and Q^T y, so Q is never formed. The factorization runs in place on a
-    column-major [phi | y] and, in "raw" mode, returns only the
-    (M + 1) x (M + 1) upper triangle; that block is all that is kept, and no
-    N-row copy of the factor is made. Residuals are always evaluated
-    directly on the full data; the compressed form condenses
-    large-magnitude rows and wobbles at the round-off floor.
+    dropped term, so no signed working copy is kept either. Refits solve on
+    the M x M system from `compress`, whose [phi | y] buffer is freed before
+    |phi| is taken. Residuals are always evaluated directly on the full
+    data; the compressed form condenses large-magnitude rows and wobbles at
+    the round-off floor.
     """
 
     def __init__(self, library: Library):
-        n, m = library.matrix.shape
-        self.n = n
         self.phi = library.matrix
         self.y = library.target
-        aug = np.empty((n, m + 1), order="F")
-        aug[:, :m] = self.phi
-        aug[:, m] = self.y
-        top = scipy.linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
-        del aug     # before |phi|: keeps the peak memory down
-        self.r, self.qty = top[:m, :m], top[:m, m]
+        self.r, self.qty = compress(self.phi, self.y)
         self.absphi = np.abs(self.phi.T, order="C")
 
     def fit(self, active: list[int]) -> np.ndarray:
@@ -147,7 +135,7 @@ class _ActiveSystem:
         misfit = self.phi @ xi_full - self.y
         absxi = np.abs(xi)
         r = _row_weights(self.absphi, active, absxi, epsilon_rel)
-        return (float(misfit @ misfit) / self.n,
+        return (float(misfit @ misfit) / misfit.size,
                 _global_importance(self.absphi, active, absxi, r))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import DatasetError
 
@@ -34,6 +35,19 @@ def _svd_solve(phi: np.ndarray, u_t: np.ndarray) -> tuple[np.ndarray, int]:
     inv = np.where(s > cutoff, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     rank = int((s > cutoff).sum())
     return (vt.T @ (inv * (u.T @ u_t))) / scale, rank
+
+
+def compress(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and Q^T y of phi = QR: the top of the R factor of [phi | y], from an
+    in-place "raw" QR of a column-major copy, so Q is never formed. An LS
+    solve on columns of R, with or without ridge rows, has the solution of
+    the tall one up to round-off."""
+    n, m = phi.shape
+    aug = np.empty((n, m + 1), order="F")
+    aug[:, :m] = phi
+    aug[:, m] = y
+    top = scipy.linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
+    return top[:m, :m], top[:m, m]
 
 
 def least_squares(phi_active: np.ndarray, u_t: np.ndarray) -> FitResult:

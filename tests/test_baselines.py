@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bgsindy import DatasetError, least_squares, stlsq, train_stridge
+from bgsindy import DatasetError, baselines, least_squares, stlsq, train_stridge
+from bgsindy.baselines import _ridge, _stridge
+from bgsindy.regression import compress
 from tests.test_pruner import synthetic_library
 
 
 class TestStlsq:
     def test_two_by_two_thresholding(self):
         lib, _ = synthetic_library(n=2, m=2, k_true=0, seed=0)
-        from dataclasses import replace
         matrix = np.eye(2)
         lib = replace(lib, matrix=matrix, target=np.array([1.0, 0.01]))
         model = stlsq(lib, threshold=0.1)
@@ -62,3 +65,85 @@ class TestTrainStridge:
         lib, _ = synthetic_library()
         with pytest.raises(DatasetError):
             train_stridge(lib, split=1.5)
+
+
+class TestParameterChecks:
+    def test_max_iter_below_one_rejected(self):
+        lib, _ = synthetic_library()
+        with pytest.raises(DatasetError, match="max_iter"):
+            stlsq(lib, threshold=0.1, max_iter=0)
+
+    @pytest.mark.parametrize("params, name", [({"lam": -1.0}, "lam"),
+                                              ({"search_iters": 0}, "search_iters")])
+    def test_stridge_values_rejected_before_factorizing(self, monkeypatch, params, name):
+        def no_compress(*args):
+            raise AssertionError("factorized before the parameters were checked")
+        monkeypatch.setattr(baselines, "compress", no_compress)
+        lib, _ = synthetic_library()
+        with pytest.raises(DatasetError, match=name):
+            train_stridge(lib, **params)
+
+
+def wide_scale_library():
+    """A synthetic library whose column norms span 6 decades."""
+    lib, _ = synthetic_library(n=2000, m=8, k_true=8, noise=1e-3, seed=21)
+    return replace(lib, matrix=lib.matrix * np.logspace(-3, 3, 8))
+
+
+def tall_ridge(x, y, lam):
+    """Reference ridge: one tall LS solve on [x; sqrt(lam) I]."""
+    k = x.shape[1]
+    return np.linalg.lstsq(np.vstack([x, np.sqrt(lam) * np.eye(k)]),
+                           np.concatenate([y, np.zeros(k)]), rcond=None)[0]
+
+
+class TestSingleLeastSquaresPath:
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        calls = {"least_squares": 0, "lstsq": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(baselines, "least_squares",
+                            counted("least_squares", baselines.least_squares))
+        monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+        return calls
+
+    def test_stlsq_refits_once_and_never_calls_lstsq(self, counts):
+        lib, _ = synthetic_library(n=1000, m=8, k_true=3, noise=1e-4, seed=9)
+        model = stlsq(lib, threshold=0.5)
+        assert 0 < len(model.terms) < lib.n_terms
+        assert counts == {"least_squares": 1, "lstsq": 0}
+
+    def test_train_stridge_refits_once_and_never_calls_lstsq(self, counts):
+        lib, _ = synthetic_library(n=2000, m=8, k_true=3, noise=1e-8, seed=12)
+        model = train_stridge(lib, lam=1e-7, seed=0)
+        assert 0 < len(model.terms) < lib.n_terms
+        assert counts == {"least_squares": 1, "lstsq": 0}
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, 1e-2])
+    def test_compressed_ridge_matches_tall_ridge(self, lam):
+        lib = wide_scale_library()
+        norms = np.linalg.norm(lib.matrix, axis=0)
+        assert norms.max() / norms.min() > 1e6
+        r, qty = compress(lib.matrix, lib.target)
+        for cols in (np.arange(lib.n_terms), np.array([0, 2, 5, 7])):
+            ref = tall_ridge(lib.matrix[:, cols], lib.target, lam)
+            w = _ridge(r[:, cols], qty, lam)
+            assert (np.abs(w - ref) <= 1e-10 * np.abs(ref)).all()
+
+    def test_condition_number_read_from_r(self):
+        lib = wide_scale_library()
+        r, _ = compress(lib.matrix, lib.target)
+        cond = np.linalg.cond(lib.matrix)
+        assert cond > 1e6
+        assert abs(np.linalg.cond(r) - cond) <= 1e-8 * cond
+
+    def test_nothing_above_tolerance_returns_zeros(self):
+        lib, _ = synthetic_library(n=500, m=6, k_true=3, noise=1e-3, seed=5)
+        r, qty = compress(lib.matrix, lib.target)
+        for iters in (0, 3):
+            assert not _stridge(r, qty, 1e-5, iters, 1e9).any()

@@ -262,14 +262,44 @@ class TestErrors:
         assert "'sede'" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    def test_unknown_baseline_param_exit_four(self, tiny_run, tmp_path, capsys):
+    # (method, params, the parameter the error names, whether the data is
+    # loaded first): names and JSON types are checked before the data is
+    # read, values by the baselines themselves
+    BAD_BASELINE_PARAMS = [
+        pytest.param("stlsq", {"thresold": 0.5}, "thresold", False, id="thresold"),
+        pytest.param("stlsq", 5, "--params", False, id="params-number"),
+        pytest.param("stlsq", {"threshold": "a"}, "threshold", False, id="threshold-str"),
+        pytest.param("stlsq", {"threshold": True}, "threshold", False, id="threshold-bool"),
+        pytest.param("stlsq", {"max_iter": 2.5}, "max_iter", False, id="max_iter-float"),
+        pytest.param("stlsq", {"max_iter": 0}, "max_iter", True, id="max_iter-0"),
+        pytest.param("stridge", {"split": "x"}, "split", False, id="split-str"),
+        pytest.param("stridge", {"lam": float("nan")}, "lam", False, id="lam-nan"),
+        pytest.param("stridge", {"lam": -1}, "lam", True, id="lam-negative"),
+        pytest.param("stridge", {"search_iters": 0}, "search_iters", True,
+                     id="search_iters-0"),
+        pytest.param("stridge", {"inner_iters": "3"}, "inner_iters", False,
+                     id="inner_iters-str"),
+        pytest.param("stridge", {"seed": -1}, "seed", False, id="seed-negative"),
+        pytest.param("stridge", {"l0_penalty": False}, "l0_penalty", False,
+                     id="l0_penalty-bool"),
+    ]
+
+    @pytest.mark.parametrize("method, values, name, loads", BAD_BASELINE_PARAMS)
+    def test_unknown_baseline_param_exit_four(self, tiny_run, tmp_path, capsys,
+                                              monkeypatch, method, values, name, loads):
         _, data, _ = tiny_run
+        if not loads:
+            def no_load(path):
+                raise AssertionError("the data was loaded before the parameters were checked")
+            monkeypatch.setattr(bgsindy.cli, "load_dataset", no_load)
         params = tmp_path / "p.json"
-        params.write_text(json.dumps({"thresold": 0.5}))
-        assert main(["baseline", "--method", "stlsq", "--data", str(data / "kdv"),
+        params.write_text(json.dumps(values))
+        out = tmp_path / "b"
+        assert main(["baseline", "--method", method, "--data", str(data / "kdv"),
                      "--benchmark", "kdv", "--params", str(params),
-                     "--out", str(tmp_path / "b")]) == 4
-        assert "'thresold'" in capsys.readouterr().err
+                     "--out", str(out)]) == 4
+        assert name in capsys.readouterr().err
+        assert not (out / "model.json").exists()
 
     def test_missing_data_exit_four(self, tmp_path):
         assert main(["discover", "--data", str(tmp_path / "missing"),
