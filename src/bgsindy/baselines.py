@@ -1,7 +1,9 @@
 """Coefficient-thresholding baselines: sequential thresholded least squares
 and train/validation sequential thresholded ridge regression. Every solve
-runs on one `compress` of the data: STLSQ's library, or TrainSTRidge's
-training split, compressed once; its held-out score stays a tall product."""
+runs on one compression of the data: STLSQ reads the library's own
+(`Library.compressed`, shared with the pruner and with every other STLSQ
+fit of that library); TrainSTRidge compresses its training split once, and
+its held-out score stays a tall product."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ def stlsq(library: Library, threshold: float, max_iter: int = 25) -> DiscoveredM
         raise DatasetError("threshold must be >= 0")
     if max_iter < 1:
         raise DatasetError("max_iter must be >= 1")
-    r, qty = compress(library.matrix, library.target)
+    r, qty = library.compressed
     active = list(range(library.n_terms))
     for _ in range(max_iter):
         keep = np.abs(_svd_solve(r[:, active], qty)[0]) >= threshold

@@ -82,6 +82,7 @@ def apply_smoothing(dataset: Dataset, field: str, passes) -> Dataset:
         ax = AXIS_INDEX[p["axis"]]
         ax = ndim - 1 if ax == -1 else ax
         values = sg_smooth(values, ax, p["window"], p["degree"])
+    values.flags.writeable = False      # handed over: the dataset copies nothing
     return dataset.with_field(field, values)
 
 

@@ -250,9 +250,11 @@ def cmd_sweep(args) -> int:
         workers = int(os.environ.get("BGSINDY_THREADS", "1"))
     except ValueError as exc:
         raise CliError(f"BGSINDY_THREADS must be an integer: {exc}") from exc
+    if workers < 1:
+        raise CliError(f"BGSINDY_THREADS must be a positive integer, got {workers}")
     recipe = sweep_recipe(_benchmark_of(dataset))
     results = run_sweep(dataset, gammas, ns, args.seeds, args.seed, recipe,
-                        workers=max(1, workers))
+                        workers=workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(outdir / "sweep.json", results)

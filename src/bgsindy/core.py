@@ -51,7 +51,12 @@ class Axis:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous float64 array of arr's values. A read-only
+    array that needs no conversion is kept; a writeable one is copied, so the
+    caller can still write to it and the dataset does not see those writes."""
     out = np.ascontiguousarray(arr, dtype=np.float64)
+    if out.flags.writeable and np.may_share_memory(out, arr):
+        out = out.copy()
     out.flags.writeable = False
     return out
 
@@ -267,6 +272,7 @@ def add_noise(dataset: Dataset, field_name: str, gamma: float, seed: int = 0) ->
     sigma = float(u.std())  # population (1/N) convention
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     noisy = u + gamma * sigma * rng.standard_normal(u.shape)
+    noisy.flags.writeable = False       # handed over: the dataset copies nothing
     meta = dict(dataset.metadata)
     meta["noise"] = {"field": field_name, "gamma": gamma, "seed": seed,
                      "std": sigma, "std_convention": "population"}

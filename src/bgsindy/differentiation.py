@@ -169,13 +169,12 @@ def spectral_diff_at(spectrum: np.ndarray, axis: int, n: int, spacing: float, or
     return out
 
 
-def time_derivative(dataset: Dataset, field: str) -> np.ndarray:
-    """Second-order time derivative: central interior, one-sided at the ends."""
-    if dataset.time_axis.count < 4:
-        raise DatasetError("need at least 4 time slices")
+def time_derivative(dataset: Dataset, field: str, accuracy: int = 2) -> np.ndarray:
+    """Time derivative of a field at the given accuracy order: central
+    interior, one-sided at the ends."""
     ax = len(dataset.space_axes)
     return fd_diff(dataset.fields[field], ax, dataset.time_axis.spacing, 1,
-                   accuracy=2, periodic=False)
+                   accuracy=accuracy, periodic=False)
 
 
 def _sg_kernel(offsets: np.ndarray, degree: int, position: float) -> np.ndarray:

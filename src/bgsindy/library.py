@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -17,8 +18,10 @@ import scipy.linalg
 from .core import Dataset, DatasetError, SampleSet
 from .differentiation import (axis_spectrum, bump_filter, corner_half_width, fd_diff,
                               spectral_diff, spectral_diff_at, time_derivative)
+from .regression import compress
 
 AXIS_LETTERS = ("x", "y")
+INDEPENDENCE_TOL = 1e-10    # pivoted-QR diagonal, relative to the largest
 
 
 @dataclass(frozen=True, order=False)
@@ -160,9 +163,17 @@ class LibrarySpec:
 
 @dataclass(frozen=True)
 class Library:
+    """Evaluated candidate terms at the samples, and the target there.
+
+    `matrix` and `target` are never written once the library is built:
+    `compressed` is taken from them once, on first use, and every least-
+    squares consumer of the library (the pruner, STLSQ) solves on it. A
+    library from `dataclasses.replace` or `reduce_independent` is a new
+    object and compresses afresh.
+    """
     terms: tuple[TermDescriptor, ...]
     # N x M, column-major: each tall factorization (the pivoted QR and SVD
-    # of `reduce_independent`, the pruner's QR) runs LAPACK on a
+    # of `reduce_independent`, the QR of `compressed`) runs LAPACK on a
     # column-major copy, which a row-major matrix would first transpose
     matrix: np.ndarray
     target: np.ndarray            # N
@@ -178,6 +189,12 @@ class Library:
             raise DatasetError("matrix rows must match target length")
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.target).all()):
             raise DatasetError("library contains non-finite entries")
+
+    @cached_property
+    def compressed(self) -> tuple[np.ndarray, np.ndarray]:
+        """R and Q^T y of matrix = QR (`regression.compress`): M x M and M,
+        so the cache holds no N-row array."""
+        return compress(self.matrix, self.target)
 
     @property
     def n_samples(self) -> int:
@@ -342,14 +359,6 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
     names = (dataset.field_names() if spec.kind == "rd-2d" else [target_field])
     terms = terms_for_spec(spec, target_field, names)
     needed = sorted({t.deriv for t in terms if t.deriv is not None})
-
-    def time_target():
-        if spec.time_accuracy == 2:
-            return time_derivative(dataset, target_field)
-        ax = len(dataset.space_axes)
-        return fd_diff(dataset.fields[target_field], ax, dataset.time_axis.spacing,
-                       1, spec.time_accuracy, periodic=False)
-
     diagnostics = {}
     matrix = np.empty((idx.size, len(terms)), order="F")
     if spec.test_function_degree is None:
@@ -358,7 +367,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
         sampled_derivs = _space_derivatives(dataset, needed, idx)
         for j, t in enumerate(terms):
             matrix[:, j] = t.evaluate(powers, sampled_derivs)
-        target = time_target().ravel()[idx]
+        target = time_derivative(dataset, target_field, spec.time_accuracy).ravel()[idx]
     else:
         if half_widths is None:
             half_widths = row_half_widths(dataset, target_field, spec)
@@ -378,7 +387,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
         derivs = _space_derivatives(dataset, needed)
         for j, t in enumerate(terms):
             matrix[:, j] = rows(t.evaluate(powers, derivs))
-        target = rows(time_target())
+        target = rows(time_derivative(dataset, target_field, spec.time_accuracy))
         diagnostics["test_function"] = {"degree": spec.test_function_degree,
                                         "half_widths": [int(m) for m in half_widths]}
 
@@ -386,11 +395,12 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                    diagnostics)
 
 
-def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
+def reduce_independent(library: Library) -> Library:
     """Drop columns until a maximal numerically independent subset remains.
 
-    Pivoted-QR diagonals below tol times the largest are treated as dependent;
-    the numerical rank is cross-checked against the SVD of the full matrix.
+    Pivoted-QR diagonals below INDEPENDENCE_TOL times the largest are treated
+    as dependent; the numerical rank is cross-checked against the SVD of the
+    full matrix.
     """
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
@@ -404,16 +414,16 @@ def reduce_independent(library: Library, tol: float = 1e-10) -> Library:
     dmax = diag.max()
     if dmax == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
-    rank = int((diag >= tol * dmax).sum())
+    rank = int((diag >= INDEPENDENCE_TOL * dmax).sum())
     if rank == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
     kept = np.sort(piv[:rank])
     dropped = np.sort(piv[rank:])
     sv = np.linalg.svd(library.matrix, compute_uv=False)
-    svd_rank = int((sv >= tol * sv.max()).sum())
+    svd_rank = int((sv >= INDEPENDENCE_TOL * sv.max()).sum())
     diagnostics = dict(library.diagnostics)
     diagnostics["independence"] = {
-        "tol": tol,
+        "tol": INDEPENDENCE_TOL,
         "qr_rank": rank,
         "svd_rank": svd_rank,
         "dropped": [library.terms[j].name for j in dropped],

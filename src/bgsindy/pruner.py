@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DatasetError, DiscoveredModel, PruneIteration, PruneTrace
 from .library import Library
-from .regression import _svd_solve, compress
+from .regression import _svd_solve
 
 RES_FLOOR = 1e-30
 DOT_BLOCK = 16384       # rows per partial sum of an importance dot product
@@ -112,16 +112,16 @@ class _ActiveSystem:
     importances are read from it (`_row_weights`, `_global_importance`).
     The misfit is `library.matrix @ xi_full - y`, with xi_full zero at every
     dropped term, so no signed working copy is kept either. Refits solve on
-    the M x M system from `compress`, whose [phi | y] buffer is freed before
-    |phi| is taken. Residuals are always evaluated directly on the full
-    data; the compressed form condenses large-magnitude rows and wobbles at
-    the round-off floor.
+    the library's M x M system (`Library.compressed`), read before |phi| is
+    taken, so a first compression's [phi | y] buffer is freed by then.
+    Residuals are always evaluated directly on the full data; the compressed
+    form condenses large-magnitude rows and wobbles at the round-off floor.
     """
 
     def __init__(self, library: Library):
+        self.r, self.qty = library.compressed
         self.phi = library.matrix
         self.y = library.target
-        self.r, self.qty = compress(self.phi, self.y)
         self.absphi = np.abs(self.phi.T, order="C")
 
     def fit(self, active: list[int]) -> np.ndarray:

@@ -27,6 +27,7 @@ from .differentiation import central_weights
 from .library import TermDescriptor, power_degrees, power_table, power_tables
 
 BLOWUP_LIMIT = 1e6
+N_CONTOUR = 64          # contour points per ETDRK4 coefficient
 
 
 class SolverInstability(RuntimeError):
@@ -173,11 +174,11 @@ class Etdrk4:
     """Fourth-order exponential time differencing for v_t = L v + N(v), with
     a diagonal symbol L of any shape."""
 
-    def __init__(self, lin: np.ndarray, dt: float, n_contour: int = 64):
+    def __init__(self, lin: np.ndarray, dt: float):
         # one contour per distinct value: stacked and 2D symbols repeat theirs
         values, index = np.unique(lin, return_inverse=True)
         lr = dt * values[:, None] + np.exp(
-            1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+            1j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
         elr = np.exp(lr)
         coefficients = (
             np.exp(dt * values),
@@ -393,7 +394,8 @@ def _integrate(models, initial, space_axes, time_axis, boundary, dt):
     grid, and `boundary` to its boundary kind. `dt` is the time step, rounded
     so that whole steps span each output interval. Returns the
     trajectories, shaped space + time with `initial` as the first slice, and
-    the step settings. Raises SolverInstability when a value at an output
+    the step settings. The trajectories are read-only, so a Dataset holds
+    them without a copy. Raises SolverInstability when a value at an output
     time is non-finite or beyond BLOWUP_LIMIT.
     """
     fields = [m.target_field for m in models]
@@ -410,6 +412,8 @@ def _integrate(models, initial, space_axes, time_axis, boundary, dt):
             if not np.abs(u).max() <= BLOWUP_LIMIT:    # NaN fails it too
                 raise SolverInstability(f"blow-up at output step {j}")
             out[f][..., j] = u
+    for values in out.values():
+        values.flags.writeable = False
     return out, info
 
 

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bgsindy import DatasetError, baselines, least_squares, stlsq, train_stridge
+from bgsindy import DatasetError, baselines, discover, least_squares, stlsq, train_stridge
 from bgsindy.baselines import _ridge, _stridge
 from bgsindy.regression import compress
 from tests.test_pruner import synthetic_library
@@ -147,3 +148,20 @@ class TestSingleLeastSquaresPath:
         r, qty = compress(lib.matrix, lib.target)
         for iters in (0, 3):
             assert not _stridge(r, qty, 1e-5, iters, 1e9).any()
+
+
+class TestOneCompressionPerLibrary:
+    def test_discover_then_three_stlsq_fits_factor_the_library_once(self, monkeypatch):
+        lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
+        tall = []
+        qr = scipy.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a)[0] == lib.n_samples:
+                tall.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "qr", counted)
+        discover(lib)
+        for threshold in (1e-1, 1e-2, 1e-3):
+            stlsq(lib, threshold)
+        assert tall == [(lib.n_samples, lib.n_terms + 1)]

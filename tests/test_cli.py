@@ -187,9 +187,11 @@ class TestErrors:
         assert "provenance" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_non_integer_threads_exit_four(self, tiny_run, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("threads", ["two", "0", "-3"])
+    def test_non_integer_threads_exit_four(self, tiny_run, tmp_path, capsys, monkeypatch,
+                                           threads):
         _, data, _ = tiny_run
-        monkeypatch.setenv("BGSINDY_THREADS", "two")
+        monkeypatch.setenv("BGSINDY_THREADS", threads)
         assert main(["sweep", "--data", str(data / "kdv"), "--noise", "0:0.05:2",
                      "--samples", "300", "--seeds", "1", "--out", str(tmp_path / "o")]) == 4
         assert "BGSINDY_THREADS" in capsys.readouterr().err

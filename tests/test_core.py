@@ -38,6 +38,20 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.fields["u"][0, 0] = 5.0
 
+    def test_caller_array_stays_writeable_and_private(self):
+        u = np.zeros((8, 4))
+        ds = Dataset((Axis(0, 0.1, 8),), Axis(0, 0.1, 4), {"u": u}, {"u": "periodic"})
+        assert u.flags.writeable
+        assert not np.shares_memory(u, ds.fields["u"])
+        u[0, 0] = 5.0
+        assert ds.fields["u"][0, 0] == 0.0
+
+    def test_read_only_array_held_without_copy(self):
+        u = np.zeros((8, 4))
+        u.flags.writeable = False
+        ds = Dataset((Axis(0, 0.1, 8),), Axis(0, 0.1, 4), {"u": u}, {"u": "periodic"})
+        assert ds.fields["u"] is u
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -14,6 +14,7 @@ from bgsindy import library as library_module
 from bgsindy.differentiation import spectral_diff
 from bgsindy.library import (_space_derivatives, row_half_widths, row_margins,
                              terms_for_spec)
+from bgsindy.regression import compress
 from bgsindy.simulate import default_config, generate_benchmark, reference_model
 
 
@@ -451,3 +452,27 @@ class TestReduceIndependent:
                        lib.sample_set, "u", lib.spec)
         with pytest.raises(DatasetError, match="degenerate"):
             reduce_independent(zero)
+
+
+class TestCompressed:
+    def test_taken_once_and_holds_no_n_row_array(self):
+        lib = random_library(n=300, m=6)
+        r, qty = lib.compressed
+        assert lib.compressed[0] is r and lib.compressed[1] is qty
+        # views of the (M + 1) x (M + 1) R of [phi | y], not of the N-row buffer
+        assert r.base.shape == (lib.n_terms + 1, lib.n_terms + 1)
+        assert qty.base is r.base
+        expect = compress(lib.matrix, lib.target)
+        assert np.array_equal(r, expect[0]) and np.array_equal(qty, expect[1])
+
+    def test_replaced_or_reduced_library_compresses_afresh(self):
+        lib = random_library(n=300, m=6)
+        r, qty = lib.compressed
+        doubled = replace(lib, matrix=2 * lib.matrix)
+        expect = compress(2 * lib.matrix, lib.target)
+        assert np.array_equal(doubled.compressed[0], expect[0])
+        assert np.array_equal(doubled.compressed[1], expect[1])
+        assert not np.array_equal(doubled.compressed[0], r)
+        reduced = reduce_independent(lib)
+        assert reduced.compressed[0] is not r
+        assert np.array_equal(reduced.compressed[0], r)
