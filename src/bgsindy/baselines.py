@@ -24,7 +24,7 @@ def _model_from_active(library: Library, active: list[int]) -> DiscoveredModel:
                            fit.coefficients, library.target_field, fit.residual)
 
 
-def stlsq(library: Library, threshold: float, max_iter: int = 25) -> DiscoveredModel:
+def stlsq(library: Library, threshold: float = 0.1, max_iter: int = 25) -> DiscoveredModel:
     """Alternate least squares with hard thresholding of small coefficients.
 
     An all-thresholded result returns an empty model; that is the expected

@@ -9,29 +9,36 @@ any entry.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, DatasetError, add_noise, from_entries, sample_box, subsample
 from .differentiation import sg_smooth
-from .library import (LibrarySpec, build_library, reduce_independent,
-                      row_half_widths, row_margins)
+from .library import (AXIS_LETTERS, LibrarySpec, build_library, library_fields,
+                      reduce_independent, row_half_widths, row_margins)
 from .metrics import coefficient_error, structure_match
 from .pruner import PrunerConfig, discover
 from .simulate import _benchmark, reference_model
 
-AXIS_INDEX = {"x": 0, "y": 1, "t": -1}
-
 
 @dataclass(frozen=True)
 class _SamplePlan:
-    """The recipe's `sample` entry: how `subsample` draws the rows. n None
+    """The recipe's `sample` entry: the arguments of `subsample`. n None
     takes every point of the box; time_window is [lo, hi] with None ends."""
-    strategy: str
     n: int | None
     seed: int = 0
-    time_window: list | None = None
+    time_window: tuple[int | None, int | None] | None = None
+
+
+@dataclass(frozen=True)
+class _SmoothPass:
+    """One entry of the recipe's `smooth` list: an `sg_smooth` pass along
+    the axis named by its letter."""
+    axis: str
+    window: int
+    degree: int
 
 
 def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
@@ -50,8 +57,7 @@ def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
         "target_field": target_field,
         "library": {"kind": "poly-deriv-1d", "time_accuracy": 4},
         "smooth": [],
-        "sample": {"strategy": "uniform-random", "n": 100_000, "seed": 0,
-                   "time_window": None},
+        "sample": {"n": 100_000, "seed": 0, "time_window": None},
         "pruner": {"tau": 3.0, "epsilon_rel": 1e-6},
     }
     return override_recipe(common, copy.deepcopy(_benchmark(benchmark).recipe))
@@ -61,6 +67,8 @@ def override_recipe(recipe: dict, overrides: dict) -> dict:
     """The recipe with its entries overridden: a dict updates the recipe's
     dict entry key by key, any other value replaces the entry. An entry the
     recipe lacks raises DatasetError."""
+    if not isinstance(overrides, dict):
+        raise DatasetError(f"recipe overrides must be a JSON object, got {overrides!r}")
     unknown = sorted(set(overrides) - set(recipe))
     if unknown:
         raise DatasetError(f"unknown recipe entry {unknown[0]!r}")
@@ -73,15 +81,20 @@ def override_recipe(recipe: dict, overrides: dict) -> dict:
 
 
 def apply_smoothing(dataset: Dataset, field: str, passes) -> Dataset:
-    """Apply local-polynomial smoothing passes ({axis, window, degree}) to a field."""
+    """Apply local-polynomial smoothing passes ({axis, window, degree}) to a
+    field; the axis is a space letter of the dataset or t."""
+    if not isinstance(passes, list):
+        raise DatasetError(f"smooth must be a JSON array of passes, got {passes!r}")
     if not passes:
         return dataset
+    letters = AXIS_LETTERS[:dataset.ndim_space] + ("t",)
     values = dataset.fields[field]
-    ndim = values.ndim
-    for p in passes:
-        ax = AXIS_INDEX[p["axis"]]
-        ax = ndim - 1 if ax == -1 else ax
-        values = sg_smooth(values, ax, p["window"], p["degree"])
+    for entries in passes:
+        p = from_entries(_SmoothPass, entries, "smooth pass")
+        if p.axis not in letters:
+            raise DatasetError(f"smooth pass 'axis' must be one of {letters} "
+                               f"on this dataset, got {p.axis!r}")
+        values = sg_smooth(values, letters.index(p.axis), p.window, p.degree)
     values.flags.writeable = False      # handed over: the dataset copies nothing
     return dataset.with_field(field, values)
 
@@ -90,29 +103,23 @@ def build_reduced_library(dataset: Dataset, recipe: dict):
     """Smooth, sample, build, and reduce to independent columns.
 
     With a test function in the library spec, samples are drawn only where
-    its support fits inside the grid (`row_margins`).
+    its support fits inside the grid (`row_margins`). The recipe's sample
+    count is capped at the points that box holds.
     """
     target = recipe["target_field"]
-    work = apply_smoothing(dataset, target, recipe.get("smooth", []))
-    if recipe["library"]["kind"] == "rd-2d":
-        for f in work.field_names():
-            if f != target:
-                work = apply_smoothing(work, f, recipe.get("smooth", []))
-
     spec = from_entries(LibrarySpec, recipe["library"], "library")
+    plan = from_entries(_SamplePlan, recipe["sample"], "sample")
+    work = dataset
+    for f in library_fields(dataset, spec, target):
+        work = apply_smoothing(work, f, recipe.get("smooth", []))
+
     half_widths = row_half_widths(work, target, spec)
     margins = row_margins(work, target, half_widths)
-    plan = from_entries(_SamplePlan, recipe["sample"], "sample")
-    window = plan.time_window
-    if window is not None:
-        lo = window[0] or 0
-        hi = window[1] if window[1] is not None else dataset.time_axis.count
-        window = (lo, hi)
-    total = int(np.prod([hi - lo for lo, hi in sample_box(work.shape, window, margins)]))
-    n = plan.n if plan.n is not None else total
-    if plan.strategy != "all":
-        n = min(n, total)
-    samples = subsample(work, n, plan.strategy, plan.seed, window, margins)
+    n = plan.n
+    if n is not None:
+        box = sample_box(work.shape, plan.time_window, margins)
+        n = min(n, math.prod(hi - lo for lo, hi in box))
+    samples = subsample(work, n, plan.seed, plan.time_window, margins)
 
     lib = build_library(work, samples, spec, target, half_widths)
     return reduce_independent(lib)
@@ -120,8 +127,8 @@ def build_reduced_library(dataset: Dataset, recipe: dict):
 
 def run_discovery(dataset: Dataset, recipe: dict):
     """Smooth, sample, build, reduce, and prune. Returns (model, trace, library)."""
-    lib = build_reduced_library(dataset, recipe)
     config = from_entries(PrunerConfig, recipe.get("pruner", {}), "pruner")
+    lib = build_reduced_library(dataset, recipe)
     model, trace = discover(lib, config)
     return model, trace, lib
 
@@ -130,8 +137,7 @@ def sweep_cell(dataset: Dataset, recipe: dict, gamma: float, n: int,
                cell_seed: int) -> dict:
     """One noise-robustness cell: perturb, rediscover, score against truth."""
     noisy = add_noise(dataset, recipe["target_field"], gamma, cell_seed)
-    r = {**recipe, "sample": {**recipe["sample"], "strategy": "uniform-random",
-                              "n": n, "seed": cell_seed}}
+    r = {**recipe, "sample": {**recipe["sample"], "n": n, "seed": cell_seed}}
     model, _, _ = run_discovery(noisy, r)
     ref = reference_model(recipe["benchmark"],
                           epsilon=dataset.metadata["config"]["epsilon"])

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
-import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import __version__
 from .baselines import stlsq, train_stridge
 from .benchmarks import (build_reduced_library, discovery_recipe, override_recipe,
                          run_discovery, run_sweep, sweep_recipe)
-from .core import DatasetError, DiscoveredModel, load_dataset, save_dataset
+from .core import DatasetError, DiscoveredModel, check_entry, load_dataset, save_dataset
 from .metrics import coefficient_error, relative_l2, structure_match
 from .simulate import (BENCHMARKS, BenchmarkConfig, SolverInstability, default_config,
                        generate_benchmark, integrate_model, reference_model)
@@ -32,32 +33,30 @@ EXIT_STRUCTURE = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
-# Every parameter a baseline takes from --params, with its default.
-BASELINE_PARAMS = {
-    "stlsq": {"threshold": 0.1, "max_iter": 25},
-    "stridge": {"lam": 1e-5, "split": 0.8, "search_iters": 10, "inner_iters": 10,
-                "seed": 0, "l0_penalty": None},
-}
+BASELINES = {"stlsq": stlsq, "stridge": train_stridge}
 
 
 class CliError(Exception):
     pass
 
 
-def _check_baseline_param(method: str, name: str, value) -> None:
-    """Reject a --params value whose JSON type does not fit its default's: a
-    count (int default) must be an integer, the seed a non-negative one, and
-    any other parameter a finite number (or null where the default is)."""
-    default = BASELINE_PARAMS[method][name]
-    if isinstance(default, int):
-        ok = type(value) is int and (name != "seed" or value >= 0)
-        kind = "a non-negative integer" if name == "seed" else "an integer"
-    else:
-        ok = (type(value) is int or (type(value) is float and math.isfinite(value))
-              or (value is None and default is None))
-        kind = "a finite number" + (" or null" if default is None else "")
-    if not ok:
-        raise CliError(f"{method} parameter {name!r} must be {kind}, got {value!r}")
+def _check_baseline_params(method: str, params) -> None:
+    """Reject --params that are not a JSON object of the baseline's keyword
+    parameters, each of its declared type (`check_entry`), with the seed
+    non-negative."""
+    if not isinstance(params, dict):
+        raise CliError("--params must hold a JSON object")
+    fit = BASELINES[method]
+    names = list(inspect.signature(fit).parameters)[1:]     # all but the library
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise CliError(f"unknown {method} parameter {unknown[0]!r}")
+    kinds = typing.get_type_hints(fit)
+    for name, value in params.items():
+        check_entry(f"{method} parameter", name, value, kinds[name])
+    if params.get("seed", 0) < 0:
+        raise CliError(f"{method} parameter 'seed' must be a non-negative integer, "
+                       f"got {params['seed']!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,13 +119,13 @@ def cmd_generate(args) -> int:
 
 
 def _load_recipe(args) -> dict:
-    recipe = discovery_recipe(args.benchmark, args.target) if args.benchmark else None
+    recipe = discovery_recipe(args.benchmark) if args.benchmark else None
     if args.library_spec:
         overrides = _read_json(args.library_spec)
         if recipe is None:
             if "benchmark" not in overrides:
                 raise CliError("library spec without --benchmark must name one")
-            recipe = discovery_recipe(overrides["benchmark"], args.target)
+            recipe = discovery_recipe(overrides["benchmark"])
         recipe = override_recipe(recipe, overrides)
     if recipe is None:
         raise CliError("discover needs --benchmark and/or --library-spec")
@@ -157,20 +156,12 @@ def cmd_discover(args) -> int:
 def cmd_baseline(args) -> int:
     recipe = _load_recipe(args)
     params = _read_json(args.params) if args.params else {}
-    if not isinstance(params, dict):
-        raise CliError("--params must hold a JSON object")
-    defaults = BASELINE_PARAMS[args.method]
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise CliError(f"unknown {args.method} parameter {unknown[0]!r}")
-    for name, value in params.items():
-        _check_baseline_param(args.method, name, value)
+    _check_baseline_params(args.method, params)
     dataset = load_dataset(args.data)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     lib = build_reduced_library(dataset, recipe)
-    fit = stlsq if args.method == "stlsq" else train_stridge
-    model = fit(lib, **{**defaults, **params})
+    model = BASELINES[args.method](lib, **params)
     _dump_json(outdir / "model.json", model.to_json_dict())
     _write_manifest(outdir, f"baseline-{args.method}", {**recipe, "params": params})
     if model.empty:
@@ -318,17 +309,17 @@ def build_parser() -> _Parser:
     d.add_argument("--data", required=True)
     d.add_argument("--benchmark")
     d.add_argument("--library-spec")
-    d.add_argument("--target", default="u")
+    d.add_argument("--target", help="target field (default: the recipe's, u)")
     d.add_argument("--tau", type=float, default=None)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_discover)
 
     b = sub.add_parser("baseline", help="run a thresholding baseline")
-    b.add_argument("--method", choices=["stlsq", "stridge"], required=True)
+    b.add_argument("--method", choices=list(BASELINES), required=True)
     b.add_argument("--data", required=True)
     b.add_argument("--benchmark")
     b.add_argument("--library-spec")
-    b.add_argument("--target", default="u")
+    b.add_argument("--target", help="target field (default: the recipe's, u)")
     b.add_argument("--params", help="JSON with method parameters")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_baseline)

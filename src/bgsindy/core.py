@@ -8,22 +8,62 @@ a raw little-endian float64 binary so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import types
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 BOUNDARY_KINDS = ("periodic", "dirichlet-homogeneous")
-SAMPLE_STRATEGIES = ("all", "uniform-random")
 
 
 class DatasetError(ValueError):
     """Malformed dataset construction or persistence."""
 
 
+def _fits(value, kind) -> bool:
+    """Does a JSON value fit a declared type? An int is an integer but no
+    bool; a float is any finite integer or float; a tuple is an array, of the
+    declared length unless it ends in `...`."""
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k) for k in args)
+    if kind is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return type(value) is (typing.get_origin(kind) or kind)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " or ".join(_kind_name(k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        return "[" + ", ".join("..." if k is Ellipsis else _kind_name(k)
+                               for k in typing.get_args(kind)) + "]"
+    return {int: "an integer", float: "a finite number", str: "a string",
+            type(None): "null"}.get(kind, f"a {kind.__name__}")
+
+
+def check_entry(what: str, name: str, value, kind) -> None:
+    """Raise a DatasetError naming the entry unless `value`, read from JSON,
+    fits its declared type `kind` (an annotation such as `int | None`)."""
+    if not _fits(value, kind):
+        raise DatasetError(f"{what} {name!r} must be {_kind_name(kind)}, got {value!r}")
+
+
 def from_entries(cls, entries: dict, what: str):
     """`cls(**entries)` for a dataclass, with a DatasetError naming the first
-    unknown or missing entry instead of a TypeError."""
+    unknown or missing entry, or the first whose value does not fit its
+    field's declared type (`check_entry`), instead of a TypeError."""
+    if not isinstance(entries, dict):
+        raise DatasetError(f"{what} must be a JSON object, got {entries!r}")
     unknown = sorted(set(entries) - {f.name for f in fields(cls)})
     if unknown:
         raise DatasetError(f"unknown {what} entry {unknown[0]!r}")
@@ -31,6 +71,9 @@ def from_entries(cls, entries: dict, what: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise DatasetError(f"{what} lacks entry {missing[0]!r}")
+    kinds = typing.get_type_hints(cls)
+    for name, value in entries.items():
+        check_entry(f"{what} entry", name, value, kinds[name])
     return cls(**entries)
 
 
@@ -168,10 +211,8 @@ def load_dataset(path) -> Dataset:
         shape = tuple(spec["shape"])
         n = int(np.prod(shape))
         off = spec["offset_bytes"]
-        arr = np.frombuffer(payload[off:off + 8 * n], dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise DatasetError(f"field '{spec['name']}' contains non-finite values")
-        fields[spec["name"]] = arr
+        fields[spec["name"]] = np.frombuffer(payload[off:off + 8 * n],
+                                             dtype="<f8").reshape(shape)
     return Dataset(space, time, fields, boundary, header.get("metadata", {}))
 
 
@@ -179,8 +220,6 @@ def load_dataset(path) -> Dataset:
 class SampleSet:
     """Flat spatiotemporal indices into a dataset's row-major grid."""
     indices: np.ndarray
-    seed: int
-    strategy: str
     shape: tuple[int, ...]
 
     def __post_init__(self):
@@ -204,17 +243,20 @@ class SampleSet:
         return int(self.indices.size)
 
 
-def sample_box(shape: tuple[int, ...], time_window: tuple[int, int] | None = None,
+def sample_box(shape: tuple[int, ...],
+               time_window: tuple[int | None, int | None] | None = None,
                margins: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
     """Per-axis [lo, hi) ranges of the grid points a sample may be drawn from.
 
-    `time_window` restricts the time axis to output slices [lo, hi);
-    `margins` (one count per axis, space axes then time) drops that many
-    points at both ends of each axis.
+    `time_window` (lo, hi) restricts the time axis to output slices [lo, hi);
+    a None end is the start or the end of the axis. `margins` (one count per
+    axis, space axes then time) drops that many points at both ends of each
+    axis.
     """
     box = [(0, n) for n in shape]
     if time_window is not None:
         lo, hi = time_window
+        lo, hi = 0 if lo is None else lo, shape[-1] if hi is None else hi
         if not (0 <= lo < hi <= shape[-1]):
             raise DatasetError(f"invalid time window {time_window}")
         box[-1] = (lo, hi)
@@ -227,31 +269,25 @@ def sample_box(shape: tuple[int, ...], time_window: tuple[int, int] | None = Non
     return box
 
 
-def subsample(dataset: Dataset, n: int, strategy: str = "uniform-random",
-              seed: int = 0, time_window: tuple[int, int] | None = None,
+def subsample(dataset: Dataset, n: int | None = None, seed: int = 0,
+              time_window: tuple[int | None, int | None] | None = None,
               margins: tuple[int, ...] | None = None) -> SampleSet:
-    """Draw n distinct grid points, deterministically in (inputs, seed).
-
-    Draws come from the box `sample_box(shape, time_window, margins)`; the
-    stored indices still address the full grid.
+    """Grid points of the box `sample_box(shape, time_window, margins)`: all
+    of them in grid order when n is None, else n distinct ones drawn
+    uniformly, deterministically in (inputs, seed). The stored indices
+    address the full grid.
     """
-    if strategy not in SAMPLE_STRATEGIES:
-        raise DatasetError(f"unknown strategy {strategy!r}")
     shape = dataset.shape
     box = sample_box(shape, time_window, margins)
-    box_total = int(np.prod([hi - lo for lo, hi in box]))
+    if n is None:
+        full = np.arange(dataset.total_points, dtype=np.int64).reshape(shape)
+        return SampleSet(full[tuple(slice(lo, hi) for lo, hi in box)].ravel(), shape)
+    box_total = math.prod(hi - lo for lo, hi in box)
     if not 1 <= n <= box_total:
         raise DatasetError(f"n={n} out of range (window holds {box_total} points)")
-    if strategy == "all":
-        if n != box_total:
-            raise DatasetError("strategy 'all' requires n == total point count")
-        full = np.arange(dataset.total_points, dtype=np.int64).reshape(shape)
-        idx = full[tuple(slice(lo, hi) for lo, hi in box)].ravel()
-        return SampleSet(idx, seed, strategy, shape)
-
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flat_box = rng.choice(box_total, size=n, replace=False)
-    return SampleSet(_box_to_full(flat_box, shape, box), seed, strategy, shape)
+    return SampleSet(_box_to_full(flat_box, shape, box), shape)
 
 
 def _box_to_full(flat_box, shape, box):

@@ -62,11 +62,11 @@ def central_weights(orders, spacing: float, accuracy: int = 4) -> np.ndarray:
 
 
 def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
-            accuracy: int = 4, periodic: bool = False) -> np.ndarray:
+            accuracy: int = 4) -> np.ndarray:
     """Finite-difference derivative along one axis of an array.
 
-    Central stencils in the interior; periodic wraparound, or one-sided
-    stencils of the same accuracy at non-periodic boundaries.
+    Central stencils in the interior, one-sided stencils of the same
+    accuracy at both ends.
     """
     if order < 1 or order > MAX_ORDER:
         raise DatasetError(f"derivative order must be in 1..{MAX_ORDER}")
@@ -80,9 +80,6 @@ def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
     half = wc.size // 2
 
     f = np.moveaxis(values, axis, -1)
-    if periodic:
-        f = np.concatenate([f[..., m - half:], f, f[..., :half]], axis=-1)
-        return np.moveaxis(sliding_window_view(f, wc.size, axis=-1) @ wc, -1, axis)
     out = np.empty_like(f, dtype=np.float64)
     out[..., half:m - half] = sliding_window_view(f, wc.size, axis=-1) @ wc
     for i in range(half):
@@ -174,7 +171,7 @@ def time_derivative(dataset: Dataset, field: str, accuracy: int = 2) -> np.ndarr
     interior, one-sided at the ends."""
     ax = len(dataset.space_axes)
     return fd_diff(dataset.fields[field], ax, dataset.time_axis.spacing, 1,
-                   accuracy=accuracy, periodic=False)
+                   accuracy=accuracy)
 
 
 def _sg_kernel(offsets: np.ndarray, degree: int, position: float) -> np.ndarray:

@@ -134,8 +134,9 @@ class LibrarySpec:
 
     kind 'poly-deriv-1d': powers of the target field up to poly_degree times
     derivatives up to deriv_order, (P+1)(Q+1) terms with the constant first.
-    kind 'rd-2d': all two-field monomials up to total degree 3 plus the ten
-    first and second space derivatives of both fields.
+    kind 'rd-2d': all monomials in the dataset's two fields up to total
+    degree poly_degree, plus every space derivative of each field of total
+    order 1 to deriv_order, (P+1)(P+2)/2 + Q(Q+3) terms.
 
     test_function_degree None gives grid-local rows: each row is every
     column's value at one grid point. A degree p gives test-function rows:
@@ -226,12 +227,19 @@ def terms_for_spec(spec: LibrarySpec, target_field: str,
     if field_names is None or len(field_names) != 2:
         raise DatasetError("rd-2d library needs exactly two fields")
     fa, fb = sorted(field_names)
-    terms = [TermDescriptor(((fa, i), (fb, j)))
-             for d in range(4) for i in range(d, -1, -1) for j in (d - i,)]
-    for f in (fa, fb):
-        for orders in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-            terms.append(TermDescriptor((), (f, orders)))
+    terms = [TermDescriptor(((fa, i), (fb, d - i)))
+             for d in range(spec.poly_degree + 1) for i in range(d + 1)]
+    terms += [TermDescriptor((), (f, (q - i, i)))
+              for f in (fa, fb) for q in range(1, spec.deriv_order + 1) for i in range(q + 1)]
     return sorted(terms)
+
+
+def library_fields(dataset: Dataset, spec: LibrarySpec, target_field: str) -> list[str]:
+    """The fields a library's terms read: every field of the dataset for
+    'rd-2d', the target field alone otherwise."""
+    if target_field not in dataset.fields:
+        raise DatasetError(f"unknown target field '{target_field}'")
+    return dataset.field_names() if spec.kind == "rd-2d" else [target_field]
 
 
 def _sums_at_points_cheaper(n_points: int, shape, axis: int) -> bool:
@@ -351,12 +359,10 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
     the ends of each axis, as `subsample(..., margins=row_margins(...))`
     draws them. Columns are filtered one at a time on the full grid.
     """
-    if target_field not in dataset.fields:
-        raise DatasetError(f"unknown target field '{target_field}'")
     if sample_set.shape != dataset.shape:
         raise DatasetError("sample set was drawn from a different grid")
     idx = sample_set.indices
-    names = (dataset.field_names() if spec.kind == "rd-2d" else [target_field])
+    names = library_fields(dataset, spec, target_field)
     terms = terms_for_spec(spec, target_field, names)
     needed = sorted({t.deriv for t in terms if t.deriv is not None})
     diagnostics = {}

@@ -521,7 +521,7 @@ BENCHMARKS = {
         recipe={"library": {"poly_degree": 2, "deriv_order": 4},
                 "smooth": [{"axis": "t", "window": 31, "degree": 3},
                            {"axis": "x", "window": 7, "degree": 3}],
-                "sample": {"strategy": "all", "n": None}}),
+                "sample": {"n": None}}),
     # Viscous Burgers with a vanishing hyperviscosity term.
     "burgers-hyper": Benchmark(
         config=BenchmarkConfig("burgers-hyper", ((0.0, 32 * math.pi),), (4048,),

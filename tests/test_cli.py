@@ -243,16 +243,28 @@ class TestErrors:
         assert "'integrator'" in err and "'rtol'" in err and "'dt'" in err
 
     def test_unknown_library_spec_entry_exit_four(self, tiny_run, tmp_path, capsys):
+        # an unknown entry, or a known one with a malformed value; the error
+        # names the entry
         _, data, _ = tiny_run
-        specs = ({"pruner": {"tua": 3}}, {"library": {"methd": "spectral"}},
-                 {"independence_tol": 1e-10})
-        for i, spec in enumerate(specs):
+        specs = [({"pruner": {"tua": 3}}, "'tua'"),
+                 ({"library": {"methd": "spectral"}}, "'methd'"),
+                 ({"independence_tol": 1e-10}, "'independence_tol'"),
+                 ({"smooth": [{"axis": "z", "window": 5, "degree": 2}]}, "'axis'"),
+                 ({"smooth": [{"axis": "t", "window": 5}]}, "'degree'"),
+                 ({"sample": {"time_window": [5]}}, "'time_window'"),
+                 ({"pruner": {"tau": "3"}}, "'tau'"),
+                 ({"library": {"poly_degree": "2"}}, "'poly_degree'"),
+                 ({"smooth": 5}, "smooth"),
+                 ({"target_field": "w"}, "'w'"),
+                 (["smooth"], "JSON object")]
+        for i, (spec, name) in enumerate(specs):
             path = tmp_path / f"spec{i}.json"
             path.write_text(json.dumps(spec))
+            out = tmp_path / f"o{i}"
             assert main(["discover", "--data", str(data / "kdv"), "--benchmark", "kdv",
-                         "--library-spec", str(path), "--out", str(tmp_path / f"o{i}")]) == 4
-        err = capsys.readouterr().err
-        assert "'tua'" in err and "'methd'" in err and "'independence_tol'" in err
+                         "--library-spec", str(path), "--out", str(out)]) == 4, spec
+            assert name in capsys.readouterr().err, spec
+            assert not (out / "manifest.json").exists()
 
     def test_unknown_sample_entry_exit_four(self, tiny_run, tmp_path, capsys):
         _, data, _ = tiny_run

@@ -99,50 +99,47 @@ class TestPersistence:
 
 class TestSubsample:
     def test_all_strategy_identity(self):
+        # n None takes every grid point in grid order; the seed is not read
         ds = make_dataset()
-        s = subsample(ds, ds.total_points, "all", seed=3)
+        s = subsample(ds, seed=3)
         assert np.array_equal(s.indices, np.arange(ds.total_points))
 
-    def test_all_requires_full_count(self):
-        ds = make_dataset()
-        with pytest.raises(DatasetError):
-            subsample(ds, 5, "all")
-
     def test_determinism(self, kdv_dataset):
-        a = subsample(kdv_dataset, 1000, "uniform-random", seed=42)
-        b = subsample(kdv_dataset, 1000, "uniform-random", seed=42)
+        a = subsample(kdv_dataset, 1000, seed=42)
+        b = subsample(kdv_dataset, 1000, seed=42)
         assert np.array_equal(a.indices, b.indices)
 
     def test_out_of_range_n(self):
         ds = make_dataset()
         with pytest.raises(DatasetError):
-            subsample(ds, ds.total_points + 1, "uniform-random")
-
-    def test_unknown_strategy(self):
-        ds = make_dataset()
-        with pytest.raises(DatasetError, match="unknown strategy 'latin-hypercube'"):
-            subsample(ds, 10, "latin-hypercube")
+            subsample(ds, ds.total_points + 1)
 
     def test_time_window(self):
         ds = make_dataset(nt=12)
-        s = subsample(ds, 16 * 4, "all", time_window=(4, 8))
+        s = subsample(ds, time_window=(4, 8))
         _, ti = np.unravel_index(s.indices, ds.shape)
         assert ti.min() == 4 and ti.max() == 7
+        assert s.n == 16 * 4
 
-    @pytest.mark.parametrize("strategy", ["all", "uniform-random"])
-    def test_margins_and_window_bound_every_draw(self, strategy):
+    @pytest.mark.parametrize("window, lo, hi", [((None, 5), 0, 5), ((7, None), 7, 12)])
+    def test_time_window_open_ends(self, window, lo, hi):
+        ds = make_dataset(nt=12)
+        _, ti = np.unravel_index(subsample(ds, time_window=window).indices, ds.shape)
+        assert ti.min() == lo and ti.max() == hi - 1
+
+    @pytest.mark.parametrize("n", [None, 200], ids=["all", "uniform-random"])
+    def test_margins_and_window_bound_every_draw(self, n):
         ds = make_dataset(nx=40, nt=30)
-        n = 34 * 16 if strategy == "all" else 200
-        s = subsample(ds, n, strategy, seed=5, time_window=(2, 20), margins=(3, 4))
+        s = subsample(ds, n, seed=5, time_window=(2, 20), margins=(3, 4))
         xi, ti = np.unravel_index(s.indices, ds.shape)
         assert xi.min() >= 3 and xi.max() < 37
         assert ti.min() >= 4 and ti.max() < 20
-        assert s.n == n
+        assert s.n == (34 * 16 if n is None else n)
 
     def test_margins_must_leave_points(self):
         ds = make_dataset(nx=10, nt=12)
         with pytest.raises(DatasetError, match="margins"):
-            subsample(ds, 1, "uniform-random", margins=(5, 0))
+            subsample(ds, 1, margins=(5, 0))
 
 
 class TestSampleSet:
@@ -156,17 +153,17 @@ class TestSampleSet:
     ])
     def test_invalid_indices_rejected(self, indices, message):
         with pytest.raises(DatasetError, match=message):
-            SampleSet(np.array(indices, dtype=np.int64), 0, "uniform-random", self.SHAPE)
+            SampleSet(np.array(indices, dtype=np.int64), self.SHAPE)
 
     def test_shuffled_permutation_accepted(self):
         idx = np.random.default_rng(3).permutation(20)
-        s = SampleSet(idx, 0, "uniform-random", self.SHAPE)
+        s = SampleSet(idx, self.SHAPE)
         assert np.array_equal(s.indices, idx)   # kept in the given order
         assert s.n == 20
 
     def test_caller_array_stays_writeable(self):
         idx = np.arange(20, dtype=np.int64)[::-1].copy()
-        s = SampleSet(idx, 0, "uniform-random", self.SHAPE)
+        s = SampleSet(idx, self.SHAPE)
         assert idx.flags.writeable
         assert not s.indices.flags.writeable
         idx[0] = 0                              # the set keeps its own values

@@ -7,9 +7,9 @@ import pytest
 from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSet,
                      TermDescriptor, add_noise, build_library, reduce_independent,
                      render_term, subsample)
-from bgsindy.benchmarks import (build_reduced_library, discovery_recipe, run_discovery,
-                                sweep_recipe)
-from bgsindy.differentiation import bump_filter, bump_kernel
+from bgsindy.benchmarks import (apply_smoothing, build_reduced_library, discovery_recipe,
+                                run_discovery, sweep_recipe)
+from bgsindy.differentiation import bump_filter, bump_kernel, sg_smooth
 from bgsindy import library as library_module
 from bgsindy.differentiation import spectral_diff
 from bgsindy.library import (_space_derivatives, row_half_widths, row_margins,
@@ -36,7 +36,7 @@ def random_library(n=200, m=6, seed=0, term_names=None):
                   for p in range(m))
     ds = small_dataset(nx=8, nt=max(4, n // 8 + 1))
     total = ds.total_points
-    samples = subsample(ds, min(n, total), "uniform-random", seed)
+    samples = subsample(ds, min(n, total), seed)
     return Library(terms, matrix, target, samples, "u",
                    LibrarySpec(poly_degree=m, deriv_order=0))
 
@@ -64,14 +64,14 @@ class TestTermDescriptor:
 class TestBuildLibrary:
     def test_kdv_spec_15_terms(self):
         ds = small_dataset()
-        s = subsample(ds, ds.total_points, "all")
+        s = subsample(ds)
         lib = build_library(ds, s, LibrarySpec(poly_degree=2, deriv_order=4), "u")
         assert lib.n_terms == 15
         assert lib.terms[0] == TermDescriptor()
 
     def test_121_terms(self):
         ds = small_dataset()
-        s = subsample(ds, 100, "uniform-random")
+        s = subsample(ds, 100)
         lib = build_library(ds, s, LibrarySpec(poly_degree=10, deriv_order=10), "u")
         assert lib.n_terms == 121
 
@@ -83,7 +83,7 @@ class TestBuildLibrary:
         ds = Dataset((Axis(-1.5, 3 / n, n), Axis(-1.5, 3 / n, n)),
                      Axis(0.0, 0.05, 8), fields,
                      {"u": "periodic", "v": "periodic"})
-        s = subsample(ds, 500, "uniform-random")
+        s = subsample(ds, 500)
         lib = build_library(ds, s, LibrarySpec(kind="rd-2d", poly_degree=3,
                                                deriv_order=2), "u")
         assert lib.n_terms == 20
@@ -91,10 +91,25 @@ class TestBuildLibrary:
         assert names.count("u_xy") == 1 and names.count("v_yy") == 1
         assert "1" in names
 
+    def test_rd2d_terms_follow_the_bounds(self):
+        # monomials of total degree <= poly_degree, then every derivative of
+        # each field of total order 1..deriv_order
+        low = {t.name for t in terms_for_spec(LibrarySpec(kind="rd-2d", poly_degree=2,
+                                                          deriv_order=1), "u", ["u", "v"])}
+        assert low == {"1", "u", "v", "u^2", "u v", "v^2", "u_x", "u_y", "v_x", "v_y"}
+        published = terms_for_spec(LibrarySpec(kind="rd-2d", poly_degree=3, deriv_order=2),
+                                   "u", ["v", "u"])
+        monomials = [TermDescriptor((("u", i), ("v", d - i)))
+                     for d in range(4) for i in range(d + 1)]
+        derivatives = [TermDescriptor((), (f, o)) for f in ("u", "v")
+                       for o in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+        assert published == sorted(monomials + derivatives)
+        assert len(published) == 20
+
     def test_pointwise_recomputation(self):
         # column j at sample i equals u_i^p * (q-th derivative)_i
         ds = small_dataset()
-        s = subsample(ds, 50, "uniform-random", seed=3)
+        s = subsample(ds, 50, seed=3)
         lib = build_library(ds, s, LibrarySpec(poly_degree=2, deriv_order=2), "u")
         from bgsindy.differentiation import spectral_diff
         u = ds.fields["u"].ravel()[s.indices]
@@ -105,7 +120,7 @@ class TestBuildLibrary:
 
     def test_column_order_matches_terms(self):
         ds = small_dataset()
-        s = subsample(ds, 64, "uniform-random", seed=1)
+        s = subsample(ds, 64, seed=1)
         a = build_library(ds, s, LibrarySpec(poly_degree=2, deriv_order=4), "u")
         b = build_library(ds, s, LibrarySpec(poly_degree=2, deriv_order=4), "u")
         assert a.terms == b.terms
@@ -134,7 +149,7 @@ class TestColumnMajorMatrix:
 
     def test_grid_local_rows(self, monkeypatch):
         ds = small_dataset()
-        s = subsample(ds, 100, "uniform-random", seed=2)
+        s = subsample(ds, 100, seed=2)
         lib, cols = self.build_and_record(
             monkeypatch, ds, s, LibrarySpec(poly_degree=10, deriv_order=10), "u")
         assert lib.matrix.flags.f_contiguous
@@ -143,7 +158,7 @@ class TestColumnMajorMatrix:
     def test_test_function_rows(self, kdv_dataset, monkeypatch):
         widths = row_half_widths(kdv_dataset, "u", KDV_ROWS)
         margins = row_margins(kdv_dataset, "u", widths)
-        s = subsample(kdv_dataset, 5000, "uniform-random", 4, margins=margins)
+        s = subsample(kdv_dataset, 5000, 4, margins=margins)
         lib, full = self.build_and_record(monkeypatch, kdv_dataset, s, KDV_ROWS, "u", widths)
         inner = tuple(c - m for c, m in
                       zip(np.unravel_index(s.indices, kdv_dataset.shape), margins))
@@ -158,7 +173,7 @@ class TestColumnMajorMatrix:
         fields = {"u": rng.standard_normal((16, 16, 8)), "v": rng.standard_normal((16, 16, 8))}
         ds = Dataset((Axis(-1.5, 3 / 16, 16), Axis(-1.5, 3 / 16, 16)), Axis(0.0, 0.05, 8),
                      fields, {"u": "periodic", "v": "periodic"})
-        s = subsample(ds, 500, "uniform-random", seed=1)
+        s = subsample(ds, 500, seed=1)
         lib, cols = self.build_and_record(
             monkeypatch, ds, s, LibrarySpec(kind="rd-2d", poly_degree=3, deriv_order=2), "v")
         assert lib.matrix.flags.f_contiguous
@@ -242,7 +257,7 @@ class TestSumsAtSamples:
     def test_1d_orders_1_to_10_from_one_transform(self, monkeypatch, nx):
         ds = small_dataset(nx=nx, nt=12)
         keys = [("u", (o,)) for o in range(1, 11)]
-        idx = subsample(ds, 40, "uniform-random", 2).indices
+        idx = subsample(ds, 40, 2).indices
         full = _space_derivatives(ds, keys)
         spectra = self.counted(monkeypatch, "axis_spectrum")
         inverses = self.counted(monkeypatch, "spectral_diff")
@@ -259,7 +274,7 @@ class TestSumsAtSamples:
                      {"u": "periodic", "v": "periodic"})
         keys = sorted((f, o) for f in ("u", "v")
                       for o in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-        idx = subsample(ds, 60, "uniform-random", 3).indices
+        idx = subsample(ds, 60, 3).indices
         full = _space_derivatives(ds, keys)
         spectra = self.counted(monkeypatch, "axis_spectrum")
         inverses = self.counted(monkeypatch, "spectral_diff")
@@ -313,13 +328,27 @@ class TestRecipes:
             assert discovery_recipe(bench) == expected
 
 
+    def test_smoothing_axis_must_be_one_of_the_data(self, rng):
+        axis, time_axis = Axis(0.0, 0.1, 16), Axis(0.0, 0.05, 12)
+        one_d = Dataset((axis,), time_axis, {"u": rng.standard_normal((16, 12))},
+                        {"u": "periodic"})
+        two_d = Dataset((axis, axis), time_axis, {"u": rng.standard_normal((16, 16, 12))},
+                        {"u": "periodic"})
+        for ds, letters in ((one_d, "xt"), (two_d, "xyt")):
+            for ax, letter in enumerate(letters):
+                smoothed = apply_smoothing(ds, "u", [{"axis": letter, "window": 5,
+                                                      "degree": 2}])
+                assert np.array_equal(smoothed.fields["u"], sg_smooth(ds.fields["u"], ax, 5, 2))
+        with pytest.raises(DatasetError, match="'axis'.*'y'"):
+            apply_smoothing(one_d, "u", [{"axis": "y", "window": 5, "degree": 2}])
+
+
 KDV_ROWS = LibrarySpec(poly_degree=2, deriv_order=4, test_function_degree=4)
 
 
 def sweep_library(dataset, gamma, n, seed):
     recipe = sweep_recipe("kdv")
-    recipe["sample"] = {**recipe["sample"], "strategy": "uniform-random",
-                        "n": n, "seed": seed}
+    recipe["sample"] = {**recipe["sample"], "n": n, "seed": seed}
     return build_reduced_library(add_noise(dataset, "u", gamma, seed), recipe)
 
 
@@ -329,7 +358,7 @@ class TestTestFunctionRows:
         """|Phi xi_ref - u_t| / |u_t| on 20k rows, and the half-widths."""
         ref = reference_model("kdv")
         widths = row_half_widths(dataset, "u", spec)
-        s = subsample(dataset, 20_000, "uniform-random", 3,
+        s = subsample(dataset, 20_000, 3,
                       margins=row_margins(dataset, "u", widths))
         lib = build_library(dataset, s, spec, "u", widths)
         xi = np.array([ref.coefficient_of(t) if t in ref.terms else 0.0
@@ -359,7 +388,7 @@ class TestTestFunctionRows:
             assert c.min() >= m and c.max() < n - m
         # a row centred closer to the wall than its half-width is refused
         edge = SampleSet(np.ravel_multi_index(([widths[0] - 1], [shape[1] // 2]), shape),
-                         0, "uniform-random", shape)
+                         shape)
         with pytest.raises(DatasetError, match="support"):
             build_library(kdv_dataset, edge, KDV_ROWS, "u", tuple(widths))
 
@@ -370,7 +399,7 @@ class TestTestFunctionRows:
         assert row_margins(ds, "u", widths) == (0, 5)
         # rows on the first and last x points are valid: their support wraps
         idx = np.ravel_multi_index(([0, 63], [30, 30]), ds.shape)
-        lib = build_library(ds, SampleSet(idx, 0, "uniform-random", ds.shape),
+        lib = build_library(ds, SampleSet(idx, ds.shape),
                             spec, "u", widths)
         u = ds.fields["u"]
         wrapped = np.concatenate([u[-3:], u, u[:3]], axis=0)

@@ -20,7 +20,7 @@ def synthetic_library(n=400, m=8, k_true=3, seed=0, noise=0.0):
     from bgsindy import Axis, Dataset, subsample
     ds = Dataset((Axis(0, 1.0, 20),), Axis(0, 1.0, max(4, n // 20)),
                  {"u": np.zeros((20, max(4, n // 20)))}, {"u": "periodic"})
-    samples = subsample(ds, min(n, ds.total_points), "uniform-random", seed)
+    samples = subsample(ds, min(n, ds.total_points), seed)
     return Library(terms, matrix, target, samples, "u",
                    LibrarySpec(poly_degree=m, deriv_order=0)), true
 
