@@ -47,8 +47,8 @@ def _kind_name(kind) -> str:
     if typing.get_origin(kind) is tuple:
         return "[" + ", ".join("..." if k is Ellipsis else _kind_name(k)
                                for k in typing.get_args(kind)) + "]"
-    return {int: "an integer", float: "a finite number", str: "a string",
-            type(None): "null"}.get(kind, f"a {kind.__name__}")
+    return {int: "an integer", float: "a finite number", str: "a string", list: "an array",
+            dict: "an object", type(None): "null"}.get(kind, f"a {kind.__name__}")
 
 
 def check_entry(what: str, name: str, value, kind) -> None:
@@ -56,6 +56,18 @@ def check_entry(what: str, name: str, value, kind) -> None:
     fits its declared type `kind` (an annotation such as `int | None`)."""
     if not _fits(value, kind):
         raise DatasetError(f"{what} {name!r} must be {_kind_name(kind)}, got {value!r}")
+
+
+def json_entry(entries, name: str, kind, what: str):
+    """The entry `name` of a JSON object, with a DatasetError naming it when
+    `entries` is no object, lacks it, or its value does not fit `kind`
+    (`check_entry`)."""
+    if not isinstance(entries, dict):
+        raise DatasetError(f"{what} must be a JSON object, got {entries!r}")
+    if name not in entries:
+        raise DatasetError(f"{what} lacks entry {name!r}")
+    check_entry(f"{what} entry", name, entries[name], kind)
+    return entries[name]
 
 
 def from_entries(cls, entries: dict, what: str):
@@ -361,10 +373,15 @@ class DiscoveredModel:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DiscoveredModel":
+        """The model of a `to_json_dict` object; a missing or mistyped entry
+        raises a DatasetError that names it."""
         from .library import TermDescriptor
-        terms = tuple(TermDescriptor.from_json_dict(t) for t in d["terms"])
-        coefs = np.array([t["coefficient"] for t in d["terms"]], dtype=float)
-        return DiscoveredModel(terms, coefs, d["target_field"], d["residual"])
+        entries = json_entry(d, "terms", list, "model")
+        coefs = np.array([json_entry(t, "coefficient", float, "model term") for t in entries],
+                         dtype=float)
+        terms = tuple(TermDescriptor.from_json_dict(t) for t in entries)
+        return DiscoveredModel(terms, coefs, json_entry(d, "target_field", str, "model"),
+                               json_entry(d, "residual", float, "model"))
 
 
 @dataclass(frozen=True)

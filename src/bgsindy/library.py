@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import Dataset, DatasetError, SampleSet
+from .core import Dataset, DatasetError, SampleSet, check_entry, json_entry
 from .differentiation import (axis_spectrum, bump_filter, corner_half_width, fd_diff,
                               spectral_diff, spectral_diff_at, time_derivative)
 from .regression import compress
@@ -81,11 +81,18 @@ class TermDescriptor:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TermDescriptor":
-        powers = tuple(d.get("powers", {}).items())
+        """The term of a `to_json_dict` object; `powers` may be absent and
+        `deriv` absent or null. A mistyped entry raises a DatasetError."""
+        if not isinstance(d, dict):
+            raise DatasetError(f"term must be a JSON object, got {d!r}")
+        powers = json_entry(d, "powers", dict, "term") if "powers" in d else {}
+        for f, p in powers.items():
+            check_entry("term power", f, p, int)
         deriv = None
-        if d.get("deriv"):
-            deriv = (d["deriv"]["field"], tuple(d["deriv"]["orders"]))
-        return TermDescriptor(powers, deriv)
+        if d.get("deriv") is not None:
+            deriv = (json_entry(d["deriv"], "field", str, "term deriv"),
+                     tuple(json_entry(d["deriv"], "orders", tuple[int, ...], "term deriv")))
+        return TermDescriptor(tuple(powers.items()), deriv)
 
 
 def power_table(values, degree: int) -> list:

@@ -5,11 +5,13 @@ dataset is its reference models integrated from its initial fields by the
 code that reintegrates discovered models (`integrate_model`).
 Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
 space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
-by contour quadrature). Bounded fields (KdV) use RK4 over 4th-order central
-differences with an antisymmetric ghost closure consistent with homogeneous
-Dirichlet walls: each right-hand side pads u with its odd reflection about
-both walls and applies the central stencils of every derivative order a model
-needs (`differentiation.central_weights`) in one windowed product.
+by contour quadrature); a small 1D grid's right-hand side transforms by dense
+DFT matrices, and the output spectra are inverted in blocks. Bounded fields
+(KdV) use RK4 over 4th-order central differences with an antisymmetric ghost
+closure consistent with homogeneous Dirichlet walls: each right-hand side
+pads u with its odd reflection about both walls and applies the central
+stencils of every derivative order a model needs
+(`differentiation.central_weights`) in one windowed product.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .library import TermDescriptor, power_degrees, power_table, power_tables
 
 BLOWUP_LIMIT = 1e6
 N_CONTOUR = 64          # contour points per ETDRK4 coefficient
+# 1D grids of up to this many points transform by dense DFT matrices in the
+# right-hand side; from 224 points up numpy's FFT is as fast or faster
+DENSE_DFT_MAX_POINTS = 192
+# output spectra (or grids) held per batched inverse transform and copy
+OUTPUT_BLOCK_BYTES = 1 << 20
 
 
 class SolverInstability(RuntimeError):
@@ -140,8 +147,8 @@ def _fd_stability_step(model: DiscoveredModel, dx: float) -> float:
 
 
 def _fd_slices(models, initial, space_axes, time_axis, dt):
-    """RK4 over ghost-closure stencils: an iterator over the output slices
-    after the first, and the step settings."""
+    """RK4 over ghost-closure stencils: the output slices after the first, in
+    `_blocks`, and the step settings."""
     if len(models) != 1 or len(space_axes) != 1:
         raise DatasetError("bounded integration supports a single 1D field")
     model = models[0]
@@ -151,8 +158,10 @@ def _fd_slices(models, initial, space_axes, time_axis, dt):
     else:
         stride = max(1, int(round(time_axis.spacing / dt)))
     dt = time_axis.spacing / stride
-    return _fd_rk4_steps(model, initial[model.target_field], dx, dt, stride,
-                         time_axis.count - 1), {"dt": dt, "stride": stride}
+    states = _fd_rk4_steps(model, initial[model.target_field], dx, dt, stride,
+                           time_axis.count - 1)
+    return (_blocks(states, lambda u: np.abs(u).max() <= BLOWUP_LIMIT, lambda b: (b,)),
+            {"dt": dt, "stride": stride})
 
 
 def _fd_rk4_steps(model, u, dx, dt, stride, count):
@@ -164,7 +173,7 @@ def _fd_rk4_steps(model, u, dx, dt, stride, count):
             k3 = rhs(u + 0.5 * dt * k2)
             k4 = rhs(u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        yield (u,)
+        yield u
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +235,32 @@ class Etdrk4:
 
 def _transforms(shape):
     """The real FFT over the space axes of `shape` and its inverse, both
-    writing to `out=` (numpy's irfft2 drops it; irfftn is the same transform)."""
+    writing to `out=` (numpy's irfft2 drops it; irfftn is the same transform).
+    Both act on the trailing axes, so they also transform a stack of spectra
+    or fields in one call."""
     if len(shape) == 1:
         return np.fft.rfft, partial(np.fft.irfft, n=shape[0])
     return np.fft.rfft2, partial(np.fft.irfftn, s=shape, axes=(-2, -1))
+
+
+def _dense_grid(shape) -> bool:
+    """Does the right-hand side transform by matrix products on this grid?
+    Only a small 1D grid does: there numpy's per-call FFT overhead exceeds
+    the products' flops (the crossover is at DENSE_DFT_MAX_POINTS)."""
+    return len(shape) == 1 and shape[0] <= DENSE_DFT_MAX_POINTS
+
+
+def _dense_dft(n: int, kept: int):
+    """The real DFT pair of an n-point grid on its first `kept` modes, as real
+    matrices for row-vector products. `to_grid` maps the interleaved real and
+    imaginary parts of the kept modes (a complex array viewed as float) to
+    the grid: its rows are np.fft.irfft of unit spectra. `to_modes` maps the
+    grid to the kept modes, interleaved the same way: it is np.fft.rfft of
+    the identity."""
+    unit = np.eye(kept, n // 2 + 1, dtype=complex)
+    to_grid = np.stack([np.fft.irfft(unit, n=n), np.fft.irfft(1j * unit, n=n)], axis=1)
+    to_modes = np.ascontiguousarray(np.fft.rfft(np.eye(n))[:, :kept]).view(float)
+    return to_grid.reshape(2 * kept, n), to_modes
 
 
 def _spectral_grid(space_axes):
@@ -278,23 +309,53 @@ def _flux_axis(term: TermDescriptor) -> int | None:
     return term.deriv[1].index(1)
 
 
+def _flux_polynomial(field: str, coefficients: dict):
+    """The flux sum_m a_m f^m of one field, from its {m: a_m}, as its lowest
+    monomial f^lo and the coefficients a_hi, ..., a_lo of its Horner tail
+    (zeros in the gaps)."""
+    lo, hi = min(coefficients), max(coefficients)
+    return (TermDescriptor(((field, lo),)),
+            [coefficients.get(m, 0.0) for m in range(hi, lo - 1, -1)])
+
+
+def _horner(polynomial, powers):
+    """Pointwise value of a `_flux_polynomial`: evaluate(f^lo) times the
+    tail a_lo + a_(lo+1) f + ... + a_hi f^(hi-lo), formed by Horner's rule in
+    place. A one-term flux is a_lo * evaluate(f^lo)."""
+    lowest, coefficients = polynomial
+    value = lowest.evaluate(powers, {})
+    if len(coefficients) == 1:
+        return coefficients[0] * value
+    f = powers[lowest.powers[0][0]][0]
+    tail = coefficients[0] * f
+    for a in coefficients[1:-1]:
+        if a:
+            tail += a
+        tail *= f
+    tail += coefficients[-1]
+    tail *= value
+    return tail
+
+
 def _spectral_term_rhs(models, ks, mask, shape):
     """Right-hand side of periodic models in real-FFT space.
 
     It maps the fields' spectra, in model order, to each model's spectrum.
-    A term f^p f_a (`_flux_axis`) is a flux: its monomial f^(p+1) / (p+1) is
-    evaluated pointwise, the fluxes of a model are summed per axis, and the
-    sum is differentiated once, by i k_a on its spectrum. Every other term
-    is evaluated pointwise, its derivative factor taken through the spectral
-    multiplier (i k)^o. The plan is built once here: the multipliers with
-    the dealias mask folded in, each field's power-table degree, and the
-    buffers the transforms write into, so a call builds one power table per
-    field; the returned spectra are new arrays. Spectra are dealiased on the
-    way to grid space by cutting the half-spectrum axis at the mask's last
-    mode (the inverse transform zero-pads it, which is bit-identical to the
-    mask there) and by the rest of the mask across the other axes.
+    A term f^p f_a (`_flux_axis`) is a flux: its monomial f^(p+1) / (p+1)
+    joins the polynomial in f of the model's fluxes along axis a, evaluated
+    by `_horner`; the polynomials of each axis are summed over the fields,
+    and the sum is differentiated once, by i k_a on its spectrum. Every other
+    term is evaluated pointwise, its derivative factor taken through the
+    spectral multiplier (i k)^o. The plan is built once here: the
+    multipliers with the dealias mask folded in, each field's power-table
+    degree, and the buffers the transforms write into, so a call builds one
+    power table per field; the returned spectra are new arrays. Spectra are
+    dealiased on the way to grid space by cutting the half-spectrum axis at
+    the mask's last mode (the inverse transform zero-pads it, which is
+    bit-identical to the mask there) and by the rest of the mask across the
+    other axes. On a `_dense_grid` the transforms between the kept modes and
+    the grid are the products with the `_dense_dft` matrices.
     """
-    forward, inverse = _transforms(shape)
     kept = int(mask.reshape(-1, mask.shape[-1]).any(axis=0).sum())
     low = None if mask[..., :kept].all() else mask[..., :kept]
     fields = [m.target_field for m in models]
@@ -316,14 +377,34 @@ def _spectral_term_rhs(models, ks, mask, shape):
                                             np.empty(shape))
             else:
                 (f, p), = t.powers
-                fluxes.setdefault(axis, []).append((TermDescriptor(((f, p + 1),)), c / (p + 1)))
-        evaluated += [t for t, _ in local] + [t for pairs in fluxes.values() for t, _ in pairs]
-        plans.append((_grouped(local), [(1j * ks[axis] * mask, _grouped(pairs))
-                                        for axis, pairs in sorted(fluxes.items())]))
+                fluxes.setdefault(axis, {}).setdefault(f, {})[p + 1] = float(c) / (p + 1)
+        flux_plans = [(1j * ks[axis] * mask,
+                       [_flux_polynomial(f, coefs) for f, coefs in sorted(per_field.items())])
+                      for axis, per_field in sorted(fluxes.items())]
+        evaluated += [t for t, _ in local] + [lowest for _, polys in flux_plans
+                                              for lowest, _ in polys]
+        plans.append((_grouped(local), flux_plans))
     degrees = power_degrees(evaluated)
     field_plans = [(f, degrees.get(f, 1), np.empty(shape)) for f in fields]
-    spectrum = np.empty(mask.shape, dtype=complex)
-    no_derivs = {}
+
+    if _dense_grid(shape):
+        to_grid, to_modes = _dense_dft(shape[0], kept)
+        modes = np.empty(2 * kept)
+
+        def inverse(v, out):
+            return np.dot(v.view(float), to_grid, out=out)
+
+        def spectrum_times(g, mult):
+            out = np.zeros(mask.shape, dtype=complex)
+            np.multiply(np.dot(g, to_modes, out=modes).view(complex), mult[:kept],
+                        out=out[:kept])
+            return out
+    else:
+        forward, inverse = _transforms(shape)
+        spectrum = np.empty(mask.shape, dtype=complex)
+
+        def spectrum_times(g, mult):
+            return forward(g, out=spectrum) * mult
 
     def dealiased(v):
         v = v[..., :kept]
@@ -336,10 +417,12 @@ def _spectral_term_rhs(models, ks, mask, shape):
                   for key, (i, mult, grid) in deriv_mults.items()}
         outs = []
         for v, (local, flux_plans) in zip(vs, plans):
-            out = (forward(_weighted_sum(local, powers, derivs), out=spectrum) * mask
-                   if local else None)
-            for mult, groups in flux_plans:
-                g = forward(_weighted_sum(groups, powers, no_derivs), out=spectrum) * mult
+            out = spectrum_times(_weighted_sum(local, powers, derivs), mask) if local else None
+            for mult, polynomials in flux_plans:
+                flux = _horner(polynomials[0], powers)
+                for polynomial in polynomials[1:]:
+                    flux += _horner(polynomial, powers)
+                g = spectrum_times(flux, mult)
                 out = g if out is None else out + g
             outs.append(np.zeros_like(v) if out is None else out)
         return outs
@@ -349,7 +432,7 @@ def _spectral_term_rhs(models, ks, mask, shape):
 
 def _spectral_slices(models, initial, space_axes, time_axis, dt):
     """Pseudo-spectral integration of periodic fields by ETDRK4 on their even
-    pure-derivative terms: an iterator over the output slices after the first,
+    pure-derivative terms: the output slices after the first, in `_blocks`,
     and the step settings. One field steps on its spectrum; coupled fields
     step as one stack of their spectra, under the stack of their symbols."""
     shape = tuple(a.count for a in space_axes)
@@ -367,21 +450,46 @@ def _spectral_slices(models, initial, space_axes, time_axis, dt):
                              lambda v: np.stack(nonlin(list(v))))
     stride = 1 if dt is None else max(1, int(round(time_axis.spacing / dt)))
     dt = time_axis.spacing / stride
-    return (_etdrk4_steps(Etdrk4(lin, dt), step_rhs, v0, inverse, shape, stride,
-                          time_axis.count - 1), {"dt": dt})
+    # 2 sum|v| / prod(n) bounds max|u| over the grid: a spectrum whose bound
+    # is within BLOWUP_LIMIT / 2 holds no slice that fails the blow-up check
+    screen = 0.25 * BLOWUP_LIMIT * math.prod(shape)
+
+    def to_fields(block):
+        u = inverse(block).reshape((len(block), -1) + shape)
+        return tuple(np.moveaxis(u, 1, 0))
+
+    states = _etdrk4_steps(Etdrk4(lin, dt), step_rhs, v0, stride, time_axis.count - 1)
+    return _blocks(states, lambda v: np.abs(v).sum() <= screen, to_fields), {"dt": dt}
 
 
-def _etdrk4_steps(stepper, nonlin, v, inverse, shape, stride, count):
-    """Step the spectrum v, one field's or a stack of fields', and yield each
-    output slice as one grid array per field."""
-    # each slice is read before the next is requested
-    u = np.empty(v.shape[:v.ndim - len(shape)] + shape)
-    fields = tuple(u.reshape((-1,) + shape))
+def _etdrk4_steps(stepper, nonlin, v, stride, count):
+    """The spectrum v, one field's or a stack of fields', after each output
+    interval."""
     for _ in range(count):
         for _ in range(stride):
             v = stepper.step(v, nonlin)
-        inverse(v, out=u)
-        yield fields
+        yield v
+
+
+def _blocks(states, safe, to_fields):
+    """The states, one per output slice, in blocks: up to OUTPUT_BLOCK_BYTES
+    of consecutive states are stored, and `to_fields` turns the stack into
+    one stack of slices per field. A state that `safe` does not clear ends
+    its block at once, so the caller's blow-up check sees it before another
+    step runs. Blocks may share the store: each is read before the next is
+    requested."""
+    store, held = None, 0
+    for state in states:
+        if store is None:
+            store = np.empty((max(1, OUTPUT_BLOCK_BYTES // state.nbytes),) + state.shape,
+                             state.dtype)
+        store[held] = state
+        held += 1
+        if held == len(store) or not safe(state):
+            yield to_fields(store[:held])
+            held = 0
+    if held:
+        yield to_fields(store[:held])
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +504,28 @@ def _integrate(models, initial, space_axes, time_axis, boundary, dt):
     trajectories, shaped space + time with `initial` as the first slice, and
     the step settings. The trajectories are read-only, so a Dataset holds
     them without a copy. Raises SolverInstability when a value at an output
-    time is non-finite or beyond BLOWUP_LIMIT.
+    time is non-finite or beyond BLOWUP_LIMIT, naming the first such output
+    step; no step runs past it.
     """
     fields = [m.target_field for m in models]
     if all(boundary[f] == "periodic" for f in fields):
-        slices, info = _spectral_slices(models, initial, space_axes, time_axis, dt)
+        blocks, info = _spectral_slices(models, initial, space_axes, time_axis, dt)
     else:
-        slices, info = _fd_slices(models, initial, space_axes, time_axis, dt)
+        blocks, info = _fd_slices(models, initial, space_axes, time_axis, dt)
     out = {}
     for f in fields:
         out[f] = np.empty(initial[f].shape + (time_axis.count,))
         out[f][..., 0] = initial[f]
-    for j, values in enumerate(slices, start=1):
-        for f, u in zip(fields, values):
-            if not np.abs(u).max() <= BLOWUP_LIMIT:    # NaN fails it too
-                raise SolverInstability(f"blow-up at output step {j}")
-            out[f][..., j] = u
+    j = 1
+    for block in blocks:
+        count = len(block[0])
+        peaks = np.max([np.abs(u).reshape(count, -1).max(axis=1) for u in block], axis=0)
+        failed = np.flatnonzero(~(peaks <= BLOWUP_LIMIT))    # NaN fails it too
+        if failed.size:
+            raise SolverInstability(f"blow-up at output step {j + failed[0]}")
+        for f, u in zip(fields, block):
+            out[f][..., j:j + count] = np.moveaxis(u, 0, -1)
+        j += count
     for values in out.values():
         values.flags.writeable = False
     return out, info
@@ -424,13 +538,20 @@ def integrate_model(models, initial: Dataset, dt: float | None = None) -> Datase
     returned Dataset is aligned with it slice for slice. Periodic fields, a 1D
     field or coupled 2D fields, use ETDRK4 on the even pure-derivative subset,
     one step per output interval when `dt` is None; Dirichlet fields use RK4
-    over ghost-closure stencils.
+    over ghost-closure stencils. A term that reads a field no model targets
+    raises a DatasetError.
     """
     if isinstance(models, DiscoveredModel):
         models = [models]
+    targets = {m.target_field for m in models}
     for m in models:
         if m.target_field not in initial.fields:
             raise DatasetError(f"initial dataset lacks field '{m.target_field}'")
+        for t in m.terms:
+            for f in [f for f, _ in t.powers] + ([t.deriv[0]] if t.deriv else []):
+                if f not in targets:
+                    raise DatasetError(f"term '{t.name}' reads field '{f}', which no "
+                                       f"integrated model targets")
     u0 = {m.target_field: initial.fields[m.target_field][..., 0] for m in models}
     fields, info = _integrate(models, u0, initial.space_axes, initial.time_axis,
                               initial.boundary, dt)

@@ -217,6 +217,33 @@ class TestErrors:
         assert option in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("boundary", ["spectral", "dirichlet"])
+    @pytest.mark.parametrize("model, named", [
+        ({}, "'terms'"),
+        ({"terms": [{"powers": {"v": 1}, "coefficient": 1e-3}]}, "term 'v' reads field 'v'"),
+        ({"terms": [{"powers": {}, "deriv": {"field": "v", "orders": [2]},
+                     "coefficient": 1e-3}]}, "term 'v_xx' reads field 'v'")],
+        ids=["no-terms", "v", "v_xx"])
+    def test_validate_model_it_cannot_integrate_exit_four(self, tiny_run, tmp_path, capsys,
+                                                          boundary, model, named):
+        # a u model whose term reads a field the u-only dataset lacks
+        _, data, _ = tiny_run
+        reference = data / "kdv"
+        if boundary == "spectral":
+            cfg = tmp_path / "burgers.json"
+            cfg.write_text(json.dumps({
+                "benchmark": "burgers-hyper", "bounds": [[0.0, 32 * np.pi]], "counts": [256],
+                "dt": 0.1, "output_stride": 1, "epsilon": 1e-3, "t_final": 1.0}))
+            assert main(["generate", "burgers-hyper", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+            reference = tmp_path / "burgers-hyper"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**model, "target_field": "u", "residual": 0.0}
+                                   if model else model))
+        capsys.readouterr()
+        assert main(["validate", "--model", str(path), "--reference", str(reference)]) == 4
+        assert named in capsys.readouterr().err
+
     def test_unreadable_config_exit_four(self, tmp_path):
         assert main(["generate", "kdv", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 4

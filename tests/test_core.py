@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bgsindy import (Axis, Dataset, DatasetError, SampleSet, add_noise, load_dataset,
-                     save_dataset, subsample)
+from bgsindy import (Axis, Dataset, DatasetError, DiscoveredModel, SampleSet, add_noise,
+                     load_dataset, reference_model, save_dataset, subsample)
 
 
 def make_dataset(nx=16, nt=12, nf=1, boundary="periodic", seed=0):
@@ -51,6 +51,34 @@ class TestDatasetValidation:
         u.flags.writeable = False
         ds = Dataset((Axis(0, 0.1, 8),), Axis(0, 0.1, 4), {"u": u}, {"u": "periodic"})
         assert ds.fields["u"] is u
+
+
+class TestModelJson:
+    def test_round_trip(self):
+        model = reference_model("modified-ks")
+        back = DiscoveredModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+        assert back.terms == model.terms
+        assert np.array_equal(back.coefficients, model.coefficients)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: {}, "'terms'"),
+        (lambda d: {**d, "terms": {}}, "'terms'"),
+        (lambda d: {k: v for k, v in d.items() if k != "target_field"}, "'target_field'"),
+        (lambda d: {**d, "residual": "0"}, "'residual'"),
+        (lambda d: {**d, "terms": [5]}, "model term"),
+        (lambda d: {**d, "terms": [{"powers": {"u": 1}}]}, "'coefficient'"),
+        (lambda d: {**d, "terms": [{"powers": {"u": "2"}, "coefficient": 1.0}]}, "'u'"),
+        (lambda d: {**d, "terms": [{"powers": [], "coefficient": 1.0}]}, "'powers'"),
+        (lambda d: {**d, "terms": [{"deriv": {"field": "u"}, "coefficient": 1.0}]},
+         "'orders'"),
+        (lambda d: {**d, "terms": [{"deriv": {"field": "u", "orders": [1.5]},
+                                    "coefficient": 1.0}]}, "'orders'")],
+        ids=["empty", "terms-object", "no-target", "residual-string", "term-number",
+             "no-coefficient", "power-string", "powers-array", "no-orders", "float-order"])
+    def test_missing_or_mistyped_entry_named(self, edit, named):
+        d = edit(reference_model("kdv").to_json_dict())
+        with pytest.raises(DatasetError, match=named):
+            DiscoveredModel.from_json_dict(d)
 
 
 class TestPersistence:

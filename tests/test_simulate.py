@@ -1,15 +1,22 @@
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import bgsindy
 from bgsindy import (Axis, Dataset, DatasetError, DiscoveredModel, SolverInstability,
                      TermDescriptor, integrate_model, relative_l2)
 from bgsindy.benchmarks import discovery_recipe
 from bgsindy.differentiation import central_weights, fornberg_weights
-from bgsindy.simulate import (Etdrk4, default_config, generate_benchmark, reference_model,
-                              _fd_rhs, _fd_stability_step, _integrate, _spectral_grid,
+from bgsindy.simulate import (BLOWUP_LIMIT, Etdrk4, default_config, generate_benchmark,
+                              reference_model, _dense_dft, _dense_grid, _fd_rhs,
+                              _fd_stability_step, _integrate, _spectral_grid,
                               _spectral_term_rhs)
 
 
@@ -186,6 +193,13 @@ class TestBurgersHyper:
         assert np.abs(burgers_dataset.fields["u"]).max() < 10.0
         assert np.abs(burgers_dataset.fields["u"]).max() <= 1.0 + 1e-9
 
+    def test_data_byte_identical_to_stored_digest(self, burgers_dataset):
+        # the one-term flux is a * evaluate(u^2) and the 4048-point grid
+        # transforms by FFT, so the data keep the bytes they had before the
+        # Horner fluxes and the dense transforms (numpy 2.4, x86-64)
+        digest = hashlib.sha256(burgers_dataset.fields["u"].tobytes()).hexdigest()
+        assert digest == "958d02e94143b3bf4b874c6f770965b5928bde702d46c743098785c93518758c"
+
     def test_dt_halving_small_change(self, burgers_dataset):
         c = default_config("burgers-hyper")
         fine = generate_benchmark("burgers-hyper", replace(c, dt=0.05, output_stride=2))
@@ -224,6 +238,23 @@ class TestModifiedKs:
         e_coarse = (coarse.fields["u"] ** 2).mean(axis=0)[skip:].mean()
         e_fine = (fine.fields["u"] ** 2).mean(axis=0)[skip:].mean()
         assert abs(e_coarse - e_fine) / e_fine < 0.05
+
+    def test_data_independent_of_blas_threads(self):
+        # the 128-point grid transforms by matrix products inside the
+        # integrator, so BLAS runs there; its thread count must not move a bit
+        script = ("import hashlib; from dataclasses import replace; "
+                  "from bgsindy.simulate import default_config, generate_benchmark; "
+                  "c = replace(default_config('modified-ks'), t_final=2.0); "
+                  "d = generate_benchmark('modified-ks', c); "
+                  "print(hashlib.sha256(d.fields['u'].tobytes()).hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                                  cwd=Path(bgsindy.__file__).resolve().parents[1])
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     def test_fourth_order_convergence(self):
         c = default_config("modified-ks")
@@ -362,6 +393,21 @@ class TestIntegrateModel:
             runs.append(integrate_model(model, initial).fields[f])
         assert np.array_equal(runs[0], runs[1])
 
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet-homogeneous"])
+    @pytest.mark.parametrize("term", [TermDescriptor((("v", 1),)),
+                                      TermDescriptor((), ("v", (2,)))], ids=["v", "v_xx"])
+    def test_term_of_a_field_no_model_targets_raises(self, boundary, term):
+        # a u model reading v, integrated alone: at the parent the periodic
+        # path raised a KeyError or ValueError and the Dirichlet path read
+        # v_xx as u_xx
+        axis = Axis(0.0, 1.0 / 32, 32)
+        u0 = np.sin(2 * np.pi * axis.points())[:, None] * np.ones(4)
+        initial = Dataset((axis,), Axis(0.0, 0.01, 4), {"u": u0}, {"u": boundary})
+        model = DiscoveredModel((TermDescriptor((), ("u", (2,))), term),
+                                np.array([1e-3, 1e-3]), "u", 0.0)
+        with pytest.raises(DatasetError, match=f"term '{term.name}' reads field 'v'"):
+            integrate_model(model, initial)
+
     def test_blowup_returns_diagnostic(self, burgers_dataset):
         # backward-diffusion model blows up immediately
         bad = DiscoveredModel((TermDescriptor((), ("u", (4,))),),
@@ -382,6 +428,27 @@ class TestIntegrateModel:
             with (pytest.raises(SolverInstability, match="blow-up at output step 1"),
                   np.errstate(invalid="ignore")):
                 _integrate([model], {"u": u0}, (axis,), time_axis, {"u": "periodic"}, 0.1)
+
+    def test_blowup_stops_at_the_slice_by_slice_step(self):
+        # u_t = +u_xxxx on 16 points: the Nyquist mode grows by e^4.1 per
+        # step and would overflow within the run's one output block. The
+        # spectral screen flushes the block in time, so the step named is the
+        # one a slice-by-slice check finds, and no RuntimeWarning is raised
+        n, dt, count = 16, 1e-3, 300
+        axis = Axis(0.0, 2 * np.pi / n, n)
+        u0 = np.sin(axis.points()) + 1e-3 * np.cos(8 * axis.points())
+        model = DiscoveredModel((TermDescriptor((), ("u", (4,))),), np.array([1.0]), "u", 0.0)
+        (k,), _ = _spectral_grid((axis,))
+        stepper = Etdrk4(k**4, dt)
+        v = np.fft.rfft(u0)
+        for j in range(1, count):
+            v = stepper.step(v, lambda w: np.zeros_like(w))
+            if not np.abs(np.fft.irfft(v, n=n)).max() <= BLOWUP_LIMIT:
+                break
+        assert 1 < j < count - 1
+        with pytest.raises(SolverInstability, match=f"blow-up at output step {j}$"):
+            _integrate([model], {"u": u0}, (axis,), Axis(0.0, dt, count), {"u": "periodic"},
+                       dt)
 
     def test_blowup_2d_raises(self):
         # u_t = 20 u grows by e^20 over t = 1: past the blow-up limit, far
@@ -463,6 +530,62 @@ class TestMultiplyOnlyPowers:
             models.append(DiscoveredModel(ref.terms + extra[f],
                                           np.append(ref.coefficients, [0.3] * len(extra[f])),
                                           f, 0.0))
+        spectra = [np.fft.rfft2(rng.uniform(-1.0, 1.0, (nx, ny))) for _ in models]
+        got = _spectral_term_rhs(models, ks, mask, (nx, ny))(spectra)
+        ref = power_formula_rhs(models, ks, mask, (nx, ny), spectra)
+        for g, r in zip(got, ref):
+            assert_close_to_scale(g, r)
+
+
+def _flux(f, p, axis=0, ndim=1):
+    """f^p f_a."""
+    orders = [0] * ndim
+    orders[axis] = 1
+    return TermDescriptor(((f, p),), (f, tuple(orders)))
+
+
+class TestLeanSpectralStep:
+    """The dense transforms of small 1D grids and the Horner fluxes against
+    numpy's FFT and the `**` formulas."""
+
+    @pytest.mark.parametrize("n", [64, 127, 128])
+    def test_dense_pair_matches_numpy_fft(self, rng, n):
+        _, mask = _spectral_grid((Axis(0.0, 1.0 / n, n),))
+        kept = int(mask.sum())
+        to_grid, to_modes = _dense_dft(n, kept)
+        for _ in range(5):
+            v = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
+            assert_close_to_scale(v.view(float) @ to_grid, np.fft.irfft(v, n=n), 1e-14)
+            u = rng.standard_normal(n)
+            assert_close_to_scale((u @ to_modes).view(complex), np.fft.rfft(u)[:kept], 1e-14)
+
+    def test_dense_only_on_small_1d_grids(self):
+        assert _dense_grid(default_config("modified-ks").counts)
+        assert not _dense_grid(default_config("burgers-hyper").counts)
+        for counts in ((32, 32), (16, 16), default_config("rd2d").counts):
+            assert not _dense_grid(counts)
+
+    @pytest.mark.parametrize("n", [64, 256], ids=["dense", "fft"])
+    def test_gapped_flux_polynomial(self, rng, n):
+        # u u_x + u^4 u_x: the flux u^2/2 + u^5/5 has a gap in its Horner tail
+        ks, mask = _spectral_grid((Axis(0.0, 22.0 / n, n),))
+        model = DiscoveredModel((_flux("u", 1), _flux("u", 4), TermDescriptor((), ("u", (3,)))),
+                                np.array([-1.0, 0.3, 0.05]), "u", 0.0)
+        v = np.fft.rfft(rng.uniform(-1.5, 1.5, n))
+        got = _spectral_term_rhs([model], ks, mask, (n,))([v])
+        ref = power_formula_rhs([model], ks, mask, (n,), [v])
+        assert_close_to_scale(got[0], ref[0])
+
+    def test_coupled_2d_fluxes_of_two_fields(self, rng):
+        # the u model's fluxes along x read u and v and are summed before
+        # their one transform; u^2 u_y is a flux along y
+        nx, ny = 32, 24
+        ks, mask = _spectral_grid((Axis(0.0, 3.0 / nx, nx), Axis(0.0, 3.0 / ny, ny)))
+        u_model = DiscoveredModel(
+            (_flux("u", 1, 0, 2), _flux("v", 1, 0, 2), _flux("u", 3, 0, 2),
+             _flux("u", 2, 1, 2), TermDescriptor((("u", 1), ("v", 1)))),
+            np.array([-1.0, 0.7, 0.2, -0.4, 0.5]), "u", 0.0)
+        models = [u_model, reference_model("rd2d", "v")]
         spectra = [np.fft.rfft2(rng.uniform(-1.0, 1.0, (nx, ny))) for _ in models]
         got = _spectral_term_rhs(models, ks, mask, (nx, ny))(spectra)
         ref = power_formula_rhs(models, ks, mask, (nx, ny), spectra)
