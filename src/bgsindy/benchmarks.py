@@ -20,7 +20,7 @@ from .library import (AXIS_LETTERS, LibrarySpec, build_library, library_fields,
                       reduce_independent, row_half_widths, row_margins)
 from .metrics import coefficient_error, structure_match
 from .pruner import PrunerConfig, discover
-from .simulate import _benchmark, reference_model
+from .simulate import _benchmark, dataset_config, reference_model
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
     common = {
         "benchmark": benchmark,
         "target_field": target_field,
-        "library": {"kind": "poly-deriv-1d", "time_accuracy": 4},
+        "library": {"time_accuracy": 4},
         "smooth": [],
         "sample": {"n": 100_000, "seed": 0, "time_window": None},
         "pruner": {"tau": 3.0, "epsilon_rel": 1e-6},
@@ -110,7 +110,7 @@ def build_reduced_library(dataset: Dataset, recipe: dict):
     spec = from_entries(LibrarySpec, recipe["library"], "library")
     plan = from_entries(_SamplePlan, recipe["sample"], "sample")
     work = dataset
-    for f in library_fields(dataset, spec, target):
+    for f in library_fields(dataset, target):
         work = apply_smoothing(work, f, recipe.get("smooth", []))
 
     half_widths = row_half_widths(work, target, spec)
@@ -136,11 +136,10 @@ def run_discovery(dataset: Dataset, recipe: dict):
 def sweep_cell(dataset: Dataset, recipe: dict, gamma: float, n: int,
                cell_seed: int) -> dict:
     """One noise-robustness cell: perturb, rediscover, score against truth."""
+    ref = reference_model(recipe["benchmark"], epsilon=dataset_config(dataset).epsilon)
     noisy = add_noise(dataset, recipe["target_field"], gamma, cell_seed)
     r = {**recipe, "sample": {**recipe["sample"], "n": n, "seed": cell_seed}}
     model, _, _ = run_discovery(noisy, r)
-    ref = reference_model(recipe["benchmark"],
-                          epsilon=dataset.metadata["config"]["epsilon"])
     ok, report = structure_match(model, ref)
     try:
         err = coefficient_error(model, ref)

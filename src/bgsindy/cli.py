@@ -23,10 +23,11 @@ from . import __version__
 from .baselines import stlsq, train_stridge
 from .benchmarks import (build_reduced_library, discovery_recipe, override_recipe,
                          run_discovery, run_sweep, sweep_recipe)
-from .core import DatasetError, DiscoveredModel, check_entry, load_dataset, save_dataset
+from .core import (DatasetError, DiscoveredModel, check_entry, json_entry, load_dataset,
+                   save_dataset)
 from .metrics import coefficient_error, relative_l2, structure_match
-from .simulate import (BENCHMARKS, BenchmarkConfig, SolverInstability, default_config,
-                       generate_benchmark, integrate_model, reference_model)
+from .simulate import (BENCHMARKS, BenchmarkConfig, SolverInstability, dataset_config,
+                       default_config, generate_benchmark, integrate_model, reference_model)
 
 EXIT_OK = 0
 EXIT_STRUCTURE = 2
@@ -171,20 +172,11 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_of(dataset) -> str:
-    """The benchmark a dataset was generated from."""
-    benchmark = dataset.metadata.get("benchmark")
-    if benchmark is None:
-        raise CliError("dataset has no benchmark provenance")
-    return benchmark
-
-
 def cmd_validate(args) -> int:
     model = DiscoveredModel.from_json_dict(_read_json(args.model))
     reference = load_dataset(args.reference)
-    benchmark = _benchmark_of(reference)
-    meta = reference.metadata
-    eps = meta["config"]["epsilon"]
+    config = dataset_config(reference)
+    benchmark, eps = config.benchmark, config.epsilon
     ref_model = reference_model(benchmark, model.target_field, epsilon=eps)
     ok, report = structure_match(model, ref_model)
     try:
@@ -197,7 +189,7 @@ def cmd_validate(args) -> int:
         # coupled to the reference models of the dataset's other fields
         models = [model] + [reference_model(benchmark, f, epsilon=eps)
                             for f in reference.field_names() if f != model.target_field]
-        predicted = integrate_model(models, reference, dt=meta["config"]["dt"])
+        predicted = integrate_model(models, reference, dt=config.dt)
         out["relative_l2"] = {
             model.target_field: relative_l2(predicted, reference, model.target_field)}
     if args.out:
@@ -243,7 +235,7 @@ def cmd_sweep(args) -> int:
         raise CliError(f"BGSINDY_THREADS must be an integer: {exc}") from exc
     if workers < 1:
         raise CliError(f"BGSINDY_THREADS must be a positive integer, got {workers}")
-    recipe = sweep_recipe(_benchmark_of(dataset))
+    recipe = sweep_recipe(dataset_config(dataset).benchmark)
     results = run_sweep(dataset, gammas, ns, args.seeds, args.seed, recipe,
                         workers=workers)
     outdir = Path(args.out)
@@ -280,10 +272,13 @@ def cmd_report(args) -> int:
     trace_path = rundir / "trace.json"
     if trace_path.exists():
         trace = _read_json(trace_path)
-        out["residual_history"] = [it["residual"] for it in trace["iterations"]]
-        out["selected_iteration"] = trace["selected_iteration"]
-        out["removed_terms"] = [it["removed_name"] for it in trace["iterations"]
-                                if it["removed_name"]]
+        iterations = json_entry(trace, "iterations", list, "trace")
+        out["residual_history"] = [json_entry(it, "residual", float, "trace iteration")
+                                   for it in iterations]
+        out["selected_iteration"] = json_entry(trace, "selected_iteration", int, "trace")
+        removed = [json_entry(it, "removed_name", str | None, "trace iteration")
+                   for it in iterations]
+        out["removed_terms"] = [name for name in removed if name]
     if not out:
         raise CliError(f"no artifacts found under {rundir}")
     _dump_json(rundir / "report.json", out)

@@ -196,7 +196,19 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(np.ascontiguousarray(dataset.fields[n], dtype="<f8").tobytes())
 
 
+@dataclass(frozen=True)
+class _FieldEntry:
+    """An entry of a dataset header's `fields`: a field's grid shape and the
+    byte where its row-major values start in the payload."""
+    name: str
+    shape: tuple[int, ...]
+    offset_bytes: int
+
+
 def load_dataset(path) -> Dataset:
+    """The dataset `save_dataset` wrote. A header entry that is missing or
+    not of its type, or a field that does not fit the axes or the payload,
+    raises a DatasetError that names it."""
     base = Path(path)
     if base.suffix in (".json", ".bin"):
         base = base.with_suffix("")
@@ -204,28 +216,38 @@ def load_dataset(path) -> Dataset:
         header = json.loads(base.with_suffix(".json").read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"malformed header: {exc}") from exc
-    if header.get("dtype") != "f64le" or header.get("order") != "row-major":
-        raise DatasetError("unsupported dtype/order in header")
-    try:
-        space = tuple(Axis(**a) for a in header["axes"]["space"])
-        time = Axis(**header["axes"]["time"])
-        field_specs = header["fields"]
-        boundary = header["boundary"]
-    except (KeyError, TypeError) as exc:
-        raise DatasetError(f"malformed header: missing {exc}") from exc
+    what = "dataset header"
+    for name, value in (("dtype", "f64le"), ("order", "row-major")):
+        if json_entry(header, name, str, what) != value:
+            raise DatasetError(f"{what} entry {name!r} must be {value!r}, "
+                               f"got {header[name]!r}")
+    axes = json_entry(header, "axes", dict, what)
+    space = tuple(from_entries(Axis, a, "dataset space axis")
+                  for a in json_entry(axes, "space", list, "dataset axes"))
+    time = from_entries(Axis, json_entry(axes, "time", dict, "dataset axes"),
+                        "dataset time axis")
+    entries = [from_entries(_FieldEntry, f, "dataset field")
+               for f in json_entry(header, "fields", list, what)]
+    boundary = json_entry(header, "boundary", dict, what)
+    metadata = json_entry(header, "metadata", dict, what)
+    shape = tuple(a.count for a in space) + (time.count,)
+    for e in entries:
+        if tuple(e.shape) != shape:
+            raise DatasetError(f"dataset field {e.name!r} has shape {list(e.shape)}, "
+                               f"axes imply {list(shape)}")
     payload = base.with_suffix(".bin").read_bytes()
-    expected = sum(int(np.prod(f["shape"])) for f in field_specs) * 8
-    if len(payload) != expected:
-        raise DatasetError(
-            f"payload size mismatch: {len(payload)} bytes, header implies {expected}")
+    count = math.prod(shape)
+    size = 8 * count
+    if len(payload) != size * len(entries):
+        raise DatasetError(f"payload size mismatch: {len(payload)} bytes, "
+                           f"header implies {size * len(entries)}")
     fields = {}
-    for spec in field_specs:
-        shape = tuple(spec["shape"])
-        n = int(np.prod(shape))
-        off = spec["offset_bytes"]
-        fields[spec["name"]] = np.frombuffer(payload[off:off + 8 * n],
-                                             dtype="<f8").reshape(shape)
-    return Dataset(space, time, fields, boundary, header.get("metadata", {}))
+    for e in entries:
+        if not 0 <= e.offset_bytes <= len(payload) - size:
+            raise DatasetError(f"dataset field {e.name!r} at offset_bytes {e.offset_bytes} "
+                               f"leaves the {len(payload)}-byte payload")
+        fields[e.name] = np.frombuffer(payload, "<f8", count, e.offset_bytes).reshape(shape)
+    return Dataset(space, time, fields, boundary, metadata)
 
 
 @dataclass(frozen=True)

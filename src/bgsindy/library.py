@@ -137,13 +137,12 @@ def render_term(term: TermDescriptor) -> str:
 
 @dataclass(frozen=True)
 class LibrarySpec:
-    """Library construction rules.
-
-    kind 'poly-deriv-1d': powers of the target field up to poly_degree times
-    derivatives up to deriv_order, (P+1)(Q+1) terms with the constant first.
-    kind 'rd-2d': all monomials in the dataset's two fields up to total
-    degree poly_degree, plus every space derivative of each field of total
-    order 1 to deriv_order, (P+1)(P+2)/2 + Q(Q+3) terms.
+    """Library construction rules. The grid picks the family of terms
+    (`terms_for_spec`): on a 1D grid, powers of the target field up to
+    poly_degree times its derivatives up to deriv_order, (P+1)(Q+1) terms
+    with the constant first; on a 2D grid, all monomials in the dataset's two
+    fields up to total degree poly_degree, plus every space derivative of
+    each field of total order 1 to deriv_order, (P+1)(P+2)/2 + Q(Q+3) terms.
 
     test_function_degree None gives grid-local rows: each row is every
     column's value at one grid point. A degree p gives test-function rows:
@@ -154,15 +153,12 @@ class LibrarySpec:
     coefficients, while the average damps the noise that differentiation
     amplifies. The half-widths m come from the data (`row_half_widths`).
     """
-    kind: str = "poly-deriv-1d"
     poly_degree: int = 2
     deriv_order: int = 4
     time_accuracy: int = 2
     test_function_degree: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("poly-deriv-1d", "rd-2d"):
-            raise DatasetError(f"unknown library kind {self.kind!r}")
         if self.poly_degree < 0 or self.deriv_order < 0:
             raise DatasetError("library bounds must be non-negative")
         if self.test_function_degree is not None and self.test_function_degree < 1:
@@ -216,24 +212,17 @@ class Library:
         return [t.name for t in self.terms]
 
 
-def terms_for_spec(spec: LibrarySpec, target_field: str,
-                   field_names: list[str] | None = None) -> list[TermDescriptor]:
-    """Deterministic, canonically ordered term list for a library spec."""
-    if spec.kind == "poly-deriv-1d":
-        terms = []
-        for q in range(spec.deriv_order + 1):
-            for p in range(spec.poly_degree + 1):
-                powers = ((target_field, p),) if p else ()
-                deriv = (target_field, (q,)) if q else None
-                if p == 0 and q == 0:
-                    terms.append(TermDescriptor())
-                else:
-                    terms.append(TermDescriptor(powers, deriv))
-        return sorted(terms)
-    # rd-2d
-    if field_names is None or len(field_names) != 2:
-        raise DatasetError("rd-2d library needs exactly two fields")
-    fa, fb = sorted(field_names)
+def terms_for_spec(spec: LibrarySpec, fields: list[str],
+                   ndim_space: int) -> list[TermDescriptor]:
+    """Deterministic, canonically ordered term list for a library spec on a
+    grid of `ndim_space` space axes, over the `library_fields` of the grid:
+    the target field alone in 1D, the two fields of the dataset in 2D."""
+    if ndim_space == 1:
+        (f,) = fields
+        return sorted(TermDescriptor(((f, p),), (f, (q,)) if q else None)
+                      for q in range(spec.deriv_order + 1)
+                      for p in range(spec.poly_degree + 1))
+    fa, fb = sorted(fields)
     terms = [TermDescriptor(((fa, i), (fb, d - i)))
              for d in range(spec.poly_degree + 1) for i in range(d + 1)]
     terms += [TermDescriptor((), (f, (q - i, i)))
@@ -241,12 +230,18 @@ def terms_for_spec(spec: LibrarySpec, target_field: str,
     return sorted(terms)
 
 
-def library_fields(dataset: Dataset, spec: LibrarySpec, target_field: str) -> list[str]:
-    """The fields a library's terms read: every field of the dataset for
-    'rd-2d', the target field alone otherwise."""
+def library_fields(dataset: Dataset, target_field: str) -> list[str]:
+    """The fields a library's terms read, by the grid: the target field alone
+    on a 1D grid, the dataset's two fields on a 2D one. A 2D dataset that
+    does not hold exactly two fields raises a DatasetError."""
     if target_field not in dataset.fields:
         raise DatasetError(f"unknown target field '{target_field}'")
-    return dataset.field_names() if spec.kind == "rd-2d" else [target_field]
+    if dataset.ndim_space == 1:
+        return [target_field]
+    if len(dataset.fields) != 2:
+        raise DatasetError(f"a 2D library reads exactly two fields, the dataset holds "
+                           f"{len(dataset.fields)}: {dataset.field_names()}")
+    return dataset.field_names()
 
 
 def _sums_at_points_cheaper(n_points: int, shape, axis: int) -> bool:
@@ -369,8 +364,8 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
     if sample_set.shape != dataset.shape:
         raise DatasetError("sample set was drawn from a different grid")
     idx = sample_set.indices
-    names = library_fields(dataset, spec, target_field)
-    terms = terms_for_spec(spec, target_field, names)
+    names = library_fields(dataset, target_field)
+    terms = terms_for_spec(spec, names, dataset.ndim_space)
     needed = sorted({t.deriv for t in terms if t.deriv is not None})
     diagnostics = {}
     matrix = np.empty((idx.size, len(terms)), order="F")
@@ -428,8 +423,6 @@ def reduce_independent(library: Library) -> Library:
     if dmax == 0:
         raise DatasetError("degenerate data: all columns below tolerance")
     rank = int((diag >= INDEPENDENCE_TOL * dmax).sum())
-    if rank == 0:
-        raise DatasetError("degenerate data: all columns below tolerance")
     kept = np.sort(piv[:rank])
     dropped = np.sort(piv[rank:])
     sv = np.linalg.svd(library.matrix, compute_uv=False)

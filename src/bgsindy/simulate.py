@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Axis, Dataset, DatasetError, DiscoveredModel, from_entries
+from .core import Axis, Dataset, DatasetError, DiscoveredModel, from_entries, json_entry
 from .differentiation import central_weights
 from .library import TermDescriptor, power_degrees, power_table, power_tables
 
@@ -453,6 +453,10 @@ def _spectral_slices(models, initial, space_axes, time_axis, dt):
     # 2 sum|v| / prod(n) bounds max|u| over the grid: a spectrum whose bound
     # is within BLOWUP_LIMIT / 2 holds no slice that fails the blow-up check
     screen = 0.25 * BLOWUP_LIMIT * math.prod(shape)
+    # a symbol that grows a state the screen passes past the largest float
+    # within one output interval is refused before its contours are evaluated
+    if time_axis.spacing * lin.max() > math.log(np.finfo(float).max / screen):
+        raise SolverInstability("blow-up at output step 1")
 
     def to_fields(block):
         u = inverse(block).reshape((len(block), -1) + shape)
@@ -674,7 +678,7 @@ BENCHMARKS = {
         initial=_rd2d_initial,
         stability=lambda c, axes: {"diffusion_lambda_max": float(
             c.epsilon * sum(k**2 for k in _spectral_grid(axes)[0]).max())},
-        recipe={"library": {"kind": "rd-2d", "poly_degree": 3, "deriv_order": 2},
+        recipe={"library": {"poly_degree": 3, "deriv_order": 2},
                 "sample": {"time_window": [10, None]}}),
 }
 
@@ -714,6 +718,11 @@ def generate_benchmark(benchmark: str, config: BenchmarkConfig | None = None) ->
     config = config or entry.config
     if config.benchmark != benchmark:
         raise DatasetError(f"config is for {config.benchmark!r}, not {benchmark!r}")
+    ndim = len(entry.config.counts)
+    for name in ("bounds", "counts"):
+        if len(getattr(config, name)) != ndim:
+            raise DatasetError(f"benchmark config entry {name!r} needs one item per space "
+                               f"axis of {benchmark!r} ({ndim}), got {getattr(config, name)}")
     periodic = entry.boundary == "periodic"
     axes = tuple(Axis(lo, (hi - lo) / (n if periodic else n - 1), n)
                  for (lo, hi), n in zip(config.bounds, config.counts))
@@ -725,3 +734,11 @@ def generate_benchmark(benchmark: str, config: BenchmarkConfig | None = None) ->
     meta = {"benchmark": benchmark, "config": config.to_json_dict(),
             "stability": entry.stability(config, axes)}
     return Dataset(axes, time_axis, fields, boundaries, meta)
+
+
+def dataset_config(dataset: Dataset) -> BenchmarkConfig:
+    """The config a benchmark dataset was generated with: its metadata's
+    `config` entry (`generate_benchmark`). A dataset without one, or with a
+    malformed one, raises a DatasetError that names the entry."""
+    return BenchmarkConfig.from_json_dict(
+        json_entry(dataset.metadata, "config", dict, "dataset provenance"))

@@ -257,17 +257,46 @@ class TestErrors:
         assert not (tmp_path / "burgers-hyper.json").exists()
 
     def test_malformed_benchmark_config_exit_four(self, tmp_path, capsys):
-        # an unknown entry (here knobs of older configs) or a missing one
-        integrator = {**TINY_KDV, "integrator": "rk4"}
-        rtol = {**TINY_KDV, "rtol": 1e-6}
-        missing = {k: v for k, v in TINY_KDV.items() if k != "dt"}
-        for name, cfg in (("integrator", integrator), ("rtol", rtol), ("missing", missing)):
+        # an unknown entry (here knobs of older configs), a missing one, or
+        # not one bound and one count per space axis of the benchmark
+        rd2d = {"benchmark": "rd2d", "bounds": [[-1.5, 1.5]], "counts": [16, 16],
+                "dt": 0.025, "output_stride": 2, "epsilon": 1e-3, "t_final": 0.1}
+        cases = [("integrator", {**TINY_KDV, "integrator": "rk4"}, "'integrator'"),
+                 ("rtol", {**TINY_KDV, "rtol": 1e-6}, "'rtol'"),
+                 ("missing", {k: v for k, v in TINY_KDV.items() if k != "dt"}, "'dt'"),
+                 ("counts", {**TINY_KDV, "counts": [260, 7]}, "'counts'"),
+                 ("bounds", rd2d, "'bounds'")]
+        for name, cfg, named in cases:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
-            assert main(["generate", "kdv", "--config", str(path),
+            assert main(["generate", cfg["benchmark"], "--config", str(path),
                          "--out", str(tmp_path / name)]) == 4
-        err = capsys.readouterr().err
-        assert "'integrator'" in err and "'rtol'" in err and "'dt'" in err
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / name / "manifest.json").exists()
+
+    def test_malformed_dataset_provenance_exit_four(self, tiny_run, tmp_path, capsys):
+        # validate and sweep read the dataset's config before any work: a
+        # dataset that names its benchmark but lacks the config, or holds a
+        # mistyped one, exits 4 naming the entry
+        _, data, run = tiny_run
+        dataset = bgsindy.load_dataset(data / "kdv")
+        config = dataset.metadata["config"]
+        for name, metadata in (("config", {"benchmark": "kdv"}),
+                               ("epsilon", {"benchmark": "kdv",
+                                            "config": {**config, "epsilon": "small"}})):
+            bgsindy.save_dataset(bgsindy.Dataset(dataset.space_axes, dataset.time_axis,
+                                                 dataset.fields, dataset.boundary, metadata),
+                                 tmp_path / name)
+            assert main(["validate", "--model", str(run / "model.json"),
+                         "--reference", str(tmp_path / name),
+                         "--out", str(tmp_path / f"{name}-validate.json")]) == 4
+            assert f"'{name}'" in capsys.readouterr().err
+            assert not (tmp_path / f"{name}-validate.json").exists()
+            assert main(["sweep", "--data", str(tmp_path / name), "--noise", "0:0:1",
+                         "--samples", "300", "--seeds", "1",
+                         "--out", str(tmp_path / f"{name}-sweep")]) == 4
+            assert f"'{name}'" in capsys.readouterr().err
+            assert not (tmp_path / f"{name}-sweep").exists()
 
     def test_unknown_library_spec_entry_exit_four(self, tiny_run, tmp_path, capsys):
         # an unknown entry, or a known one with a malformed value; the error
@@ -283,6 +312,7 @@ class TestErrors:
                  ({"library": {"poly_degree": "2"}}, "'poly_degree'"),
                  ({"smooth": 5}, "smooth"),
                  ({"target_field": "w"}, "'w'"),
+                 ({"library": {"kind": "rd-2d"}}, "'kind'"),
                  (["smooth"], "JSON object")]
         for i, (spec, name) in enumerate(specs):
             path = tmp_path / f"spec{i}.json"
@@ -292,6 +322,24 @@ class TestErrors:
                          "--library-spec", str(path), "--out", str(out)]) == 4, spec
             assert name in capsys.readouterr().err, spec
             assert not (out / "manifest.json").exists()
+
+    def test_malformed_trace_exit_four(self, tiny_run, tmp_path, capsys):
+        # every trace entry report prints is read by its type
+        _, _, run = tiny_run
+        trace = json.loads((run / "trace.json").read_text())
+        first = trace["iterations"][0]
+        bad = [({**trace, "iterations": [{k: v for k, v in first.items() if k != "residual"}]},
+                "'residual'"),
+               ({**trace, "iterations": [{**first, "removed_name": 3}]}, "'removed_name'"),
+               ({**trace, "selected_iteration": "0"}, "'selected_iteration'"),
+               ({**trace, "iterations": {}}, "'iterations'")]
+        for i, (doc, name) in enumerate(bad):
+            rundir = tmp_path / f"r{i}"
+            rundir.mkdir()
+            (rundir / "trace.json").write_text(json.dumps(doc))
+            assert main(["report", "--run", str(rundir)]) == 4
+            assert name in capsys.readouterr().err
+            assert not (rundir / "report.json").exists()
 
     def test_unknown_sample_entry_exit_four(self, tiny_run, tmp_path, capsys):
         _, data, _ = tiny_run

@@ -102,11 +102,30 @@ class TestPersistence:
             load_dataset(tmp_path / "d")
 
     def test_malformed_header_rejected(self, tmp_path):
+        # text that is no JSON, or a header entry that is missing, mistyped
+        # or points past the payload: the error names it
         ds = make_dataset()
         save_dataset(ds, tmp_path / "d")
-        (tmp_path / "d.json").write_text("{not json")
-        with pytest.raises(DatasetError, match="malformed"):
-            load_dataset(tmp_path / "d")
+        header = json.loads((tmp_path / "d.json").read_text())
+        field = header["fields"][0]
+        cases = [("{not json", "malformed"),
+                 ([header], "JSON object"),
+                 ({**header, "fields": [{k: v for k, v in field.items() if k != "shape"}]},
+                  "'shape'"),
+                 ({**header, "fields": [{**field, "shape": "16, 12"}]}, "'shape'"),
+                 ({**header, "fields": [{**field, "shape": [12, 16]}]}, "shape"),
+                 ({**header, "fields": [{**field, "offset_bytes": 8}]}, "offset_bytes"),
+                 ({**header, "axes": {**header["axes"], "space": [
+                     {**header["axes"]["space"][0], "spacing": "0.1"}]}}, "'spacing'"),
+                 ({**header, "dtype": "f32le"}, "'dtype'"),
+                 ({k: v for k, v in header.items() if k != "boundary"}, "'boundary'"),
+                 ({**header, "metadata": []}, "'metadata'")]
+        for text, named in cases:
+            if not isinstance(text, str):
+                text = json.dumps(text)
+            (tmp_path / "d.json").write_text(text)
+            with pytest.raises(DatasetError, match=named):
+                load_dataset(tmp_path / "d")
 
     def test_nonfinite_payload_rejected(self, tmp_path):
         ds = make_dataset()

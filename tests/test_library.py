@@ -51,7 +51,7 @@ class TestTermDescriptor:
         assert render_term(TermDescriptor()) == "1"
 
     def test_ordering_total_and_stable(self):
-        terms = terms_for_spec(LibrarySpec(poly_degree=2, deriv_order=4), "u")
+        terms = terms_for_spec(LibrarySpec(poly_degree=2, deriv_order=4), ["u"], 1)
         assert terms[0] == TermDescriptor()
         assert terms == sorted(terms)
         assert len(set(terms)) == len(terms)
@@ -84,21 +84,28 @@ class TestBuildLibrary:
                      Axis(0.0, 0.05, 8), fields,
                      {"u": "periodic", "v": "periodic"})
         s = subsample(ds, 500)
-        lib = build_library(ds, s, LibrarySpec(kind="rd-2d", poly_degree=3,
-                                               deriv_order=2), "u")
+        lib = build_library(ds, s, LibrarySpec(poly_degree=3, deriv_order=2), "u")
         assert lib.n_terms == 20
         names = lib.term_names()
         assert names.count("u_xy") == 1 and names.count("v_yy") == 1
         assert "1" in names
 
+    @pytest.mark.parametrize("names", [["u"], ["u", "v", "w"]])
+    def test_2d_grid_needs_two_fields(self, names):
+        # the grid picks the family: a 2D library reads exactly two fields
+        axis = Axis(0.0, 0.25, 8)
+        ds = Dataset((axis, axis), Axis(0.0, 0.05, 4),
+                     {f: np.ones((8, 8, 4)) for f in names}, dict.fromkeys(names, "periodic"))
+        with pytest.raises(DatasetError, match="exactly two fields"):
+            build_library(ds, subsample(ds, 10), LibrarySpec(), "u")
+
     def test_rd2d_terms_follow_the_bounds(self):
         # monomials of total degree <= poly_degree, then every derivative of
         # each field of total order 1..deriv_order
-        low = {t.name for t in terms_for_spec(LibrarySpec(kind="rd-2d", poly_degree=2,
-                                                          deriv_order=1), "u", ["u", "v"])}
+        low = {t.name for t in terms_for_spec(LibrarySpec(poly_degree=2, deriv_order=1),
+                                              ["u", "v"], 2)}
         assert low == {"1", "u", "v", "u^2", "u v", "v^2", "u_x", "u_y", "v_x", "v_y"}
-        published = terms_for_spec(LibrarySpec(kind="rd-2d", poly_degree=3, deriv_order=2),
-                                   "u", ["v", "u"])
+        published = terms_for_spec(LibrarySpec(poly_degree=3, deriv_order=2), ["v", "u"], 2)
         monomials = [TermDescriptor((("u", i), ("v", d - i)))
                      for d in range(4) for i in range(d + 1)]
         derivatives = [TermDescriptor((), (f, o)) for f in ("u", "v")
@@ -175,7 +182,7 @@ class TestColumnMajorMatrix:
                      fields, {"u": "periodic", "v": "periodic"})
         s = subsample(ds, 500, seed=1)
         lib, cols = self.build_and_record(
-            monkeypatch, ds, s, LibrarySpec(kind="rd-2d", poly_degree=3, deriv_order=2), "v")
+            monkeypatch, ds, s, LibrarySpec(poly_degree=3, deriv_order=2), "v")
         assert lib.matrix.flags.f_contiguous
         assert np.array_equal(lib.matrix, np.column_stack(cols))
 

@@ -6,7 +6,10 @@ Runs the CLI of the package in ../src: `generate` for every benchmark, then
 `discover` and `baseline` (STLSQ at its default threshold, and TrainSTRidge)
 for kdv, burgers-hyper, modified-ks, and the rd2d fields u and v. It then
 prints `sha256  path` for every file it wrote under OUTDIR except the
-`manifest.json` files, which record the environment, sorted by path.
+`manifest.json` files, which record the environment, and
+`sha256  path#config` for the `config` entry alone of each `manifest.json`
+(its canonical JSON, so a change to a recipe or a benchmark config shows
+without the environment), sorted by path.
 
 Two checkouts that print the same lines wrote the same bytes. The BLAS
 thread count moves round-off in the factorizations, so compare runs made
@@ -16,6 +19,7 @@ with the same setting, such as OPENBLAS_NUM_THREADS=1.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -50,10 +54,18 @@ def main(argv: list[str]) -> int:
         for method in ("stlsq", "stridge"):
             bgsindy("baseline", f"--method={method}", *run,
                     f"--out={out / 'baseline' / method / name}")
-    for path in sorted(p for p in out.rglob("*") if p.is_file()
-                       and p.name != "manifest.json"):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
-              f"{path.relative_to(out).as_posix()}")
+    digests = {}
+    for path in (p for p in out.rglob("*") if p.is_file()):
+        name = path.relative_to(out).as_posix()
+        if path.name == "manifest.json":
+            config = json.loads(path.read_text())["config"]
+            name, data = name + "#config", json.dumps(config, sort_keys=True,
+                                                      separators=(",", ":")).encode()
+        else:
+            data = path.read_bytes()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    for name in sorted(digests):
+        print(f"{digests[name]}  {name}")
     return 0
 
 
