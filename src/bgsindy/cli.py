@@ -199,14 +199,17 @@ def cmd_validate(args) -> int:
 
 
 def _parse_noise(spec: str):
+    """`count` noise levels evenly spaced from lo to hi, both finite and >= 0."""
     try:
         lo, hi, count = spec.split(":")
-        gammas = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise CliError(f"bad --noise spec {spec!r} (want lo:hi:count)") from exc
-    if gammas.size == 0:
+    if count < 1:
         raise CliError(f"bad --noise spec {spec!r} (count must be positive)")
-    return gammas
+    if not all(np.isfinite(g) and g >= 0 for g in (lo, hi)):
+        raise CliError(f"bad --noise spec {spec!r} (levels must be finite and >= 0)")
+    return np.linspace(lo, hi, count)
 
 
 def _parse_samples(spec: str) -> list[int]:

@@ -8,7 +8,6 @@ points together with the time-derivative target.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -256,68 +255,61 @@ def _space_derivatives(dataset: Dataset, keys, indices: np.ndarray | None = None
     """{(field, orders): derivative} for the given (field, orders) keys.
 
     A field that is not periodic gets 4th-order finite differences. A
-    periodic one is differentiated spectrally, one axis after the other, and
-    every forward transform of the same array along the same axis is taken
-    once, shared by every order taken there, and dropped after its last use:
-    one transform of u along x serves u_x, u_xx, ..., and the (1, 1) order
-    of a 2D field is the transform of u_x along y.
+    periodic one is differentiated spectrally, one axis after the other. The
+    keys are grouped by the source of their last step: the field, or in 2D
+    its full-grid derivative along the earlier axis. Each group, in order of
+    field and axis, transforms its source once along its axis, takes there
+    every order its keys end on and the full-grid derivatives that later
+    groups start from, and frees its spectrum before the next group takes
+    its own: one transform of u along x serves u_x, u_xx, ..., and the (1, 1)
+    order of a 2D field is the transform of u_x along y.
 
     With flat grid `indices`, each derivative is returned at those points
-    only. Its last periodic step is then summed directly at the points
-    (`spectral_diff_at`, every order of one transform from one gathered
-    block) wherever that takes fewer operations than the inverse transforms
+    only. A periodic group's orders are then summed directly at the points
+    (`spectral_diff_at`, every order from one gathered block) wherever that
+    takes fewer operations than the inverse transforms
     (`_sums_at_points_cheaper`).
     """
-    def steps(fname, orders):
-        done = [0] * len(orders)
-        for ax, o in enumerate(orders):
-            if o:
-                yield (fname, tuple(done), ax), ax, o
-                done[ax] = o
-
-    periodic = {f: dataset.boundary[f] == "periodic" for f, _ in keys}
-    shape = dataset.shape
-    direct = {}     # last step summed at the points -> [(key, order)] sharing it
-    runs = []       # keys whose steps are taken, in order
+    groups = {}     # (field, axis, source orders) -> (keys ending there, keys fed on)
     for fname, orders in keys:
-        *_, (skey, ax, o) = steps(fname, orders)
-        if (indices is not None and periodic[fname]
-                and _sums_at_points_cheaper(indices.size, shape, ax)):
-            if skey in direct:
-                direct[skey].append(((fname, orders), o))
-                continue
-            direct[skey] = [((fname, orders), o)]
-        runs.append((fname, orders))
-    uses = Counter(s for f, orders in runs if periodic[f] for s, _, _ in steps(f, orders))
-    spectra = {}
+        axes = [ax for ax, o in enumerate(orders) if o]
+        for ax in axes:
+            zeros = (0,) * (len(orders) - ax - 1)
+            ends, feeds = groups.setdefault((fname, ax, orders[:ax] + (0,) + zeros), ([], set()))
+            if ax == axes[-1]:
+                ends.append((fname, orders))
+            else:
+                feeds.add((fname, orders[:ax + 1] + zeros))
 
-    def spectrum(skey, values, ax):
-        if skey not in spectra:
-            spectra[skey] = axis_spectrum(values, ax)
-        uses[skey] -= 1
-        return spectra[skey] if uses[skey] else spectra.pop(skey)
-
-    def derivative(values, skey, ax, o):
+    def grid(values, ax, key, spectrum):
+        """The full-grid derivative `key`, whose last step is along ax."""
+        if key in fed:
+            return fed[key]
         spacing = dataset.space_axes[ax].spacing
-        if not periodic[skey[0]]:
-            return fd_diff(values, ax, spacing, o, accuracy=4)
-        return spectral_diff(values, ax, spacing, o, spectrum(skey, values, ax))
+        if spectrum is None:
+            return fd_diff(values, ax, spacing, key[1][ax], accuracy=4)
+        return spectral_diff(values, ax, spacing, key[1][ax], spectrum)
 
-    coords = np.unravel_index(indices, shape) if direct else None
-    out = {}
-    for fname, orders in runs:
-        values = dataset.fields[fname]
-        *head, (skey, ax, o) = steps(fname, orders)
-        for step in head:
-            values = derivative(values, *step)
-        if skey not in direct:
-            values = derivative(values, skey, ax, o)
-            out[(fname, orders)] = values if indices is None else values.ravel()[indices]
-            continue
-        group = direct[skey]
-        at = spectral_diff_at(spectrum(skey, values, ax), ax, shape[ax],
-                              dataset.space_axes[ax].spacing, [q for _, q in group], coords)
-        out.update(zip((key for key, _ in group), at))
+    def at_samples(full):
+        return full if indices is None else full.ravel()[indices]
+
+    shape = dataset.shape
+    fed, out = {}, {}
+    for (fname, ax, source), (ends, feeds) in sorted(groups.items()):
+        values = fed.pop((fname, source)) if any(source) else dataset.fields[fname]
+        # the last use of the spectrum takes it from the list, so that the
+        # contiguous copy `spectral_diff_at` makes replaces it
+        spectrum = [axis_spectrum(values, ax) if dataset.boundary[fname] == "periodic" else None]
+        fed.update((key, grid(values, ax, key, spectrum[0])) for key in sorted(feeds))
+        if (indices is not None and spectrum[0] is not None and ends
+                and _sums_at_points_cheaper(indices.size, shape, ax)):
+            out.update(zip(ends, spectral_diff_at(spectrum.pop(), ax, shape[ax],
+                                                  dataset.space_axes[ax].spacing,
+                                                  [key[1][ax] for key in ends],
+                                                  np.unravel_index(indices, shape))))
+        else:
+            out.update((key, at_samples(grid(values, ax, key, spectrum[0]))) for key in ends)
+        del spectrum    # before the next group takes its own
     return out
 
 

@@ -6,12 +6,16 @@ code that reintegrates discovered models (`integrate_model`).
 Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
 space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
 by contour quadrature); a small 1D grid's right-hand side transforms by dense
-DFT matrices, and the output spectra are inverted in blocks. Bounded fields
-(KdV) use RK4 over 4th-order central differences with an antisymmetric ghost
-closure consistent with homogeneous Dirichlet walls: each right-hand side
-pads u with its odd reflection about both walls and applies the central
-stencils of every derivative order a model needs
-(`differentiation.central_weights`) in one windowed product.
+DFT matrices. Bounded fields (KdV) use RK4 over 4th-order central
+differences with an antisymmetric ghost closure consistent with homogeneous
+Dirichlet walls: each right-hand side pads u with its odd reflection about
+both walls and applies the central stencils of every derivative order a
+model needs (`differentiation.central_weights`) in one windowed product.
+Each integrator is a plan (an initial state, one step, a per-output screen
+and the map to fields), and one loop (`_integrate`) steps both: it owns the
+stride rule, the output blocks and the blow-up check, and reports an
+overflow or invalid operation on the way to an output step as a blow-up at
+that step.
 """
 
 from __future__ import annotations
@@ -146,34 +150,21 @@ def _fd_stability_step(model: DiscoveredModel, dx: float) -> float:
     return 2.5 / bound if bound > 0 else np.inf
 
 
-def _fd_slices(models, initial, space_axes, time_axis, dt):
-    """RK4 over ghost-closure stencils: the output slices after the first, in
-    `_blocks`, and the step settings."""
-    if len(models) != 1 or len(space_axes) != 1:
-        raise DatasetError("bounded integration supports a single 1D field")
-    model = models[0]
-    dx = space_axes[0].spacing
-    if dt is None:
-        stride = max(1, int(math.ceil(time_axis.spacing / _fd_stability_step(model, dx))))
-    else:
-        stride = max(1, int(round(time_axis.spacing / dt)))
-    dt = time_axis.spacing / stride
-    states = _fd_rk4_steps(model, initial[model.target_field], dx, dt, stride,
-                           time_axis.count - 1)
-    return (_blocks(states, lambda u: np.abs(u).max() <= BLOWUP_LIMIT, lambda b: (b,)),
-            {"dt": dt, "stride": stride})
+def _fd_plan(models, initial, space_axes, dt):
+    """RK4 over ghost-closure stencils: the initial field, the step, the
+    per-output screen (the blow-up check itself) and `to_fields`."""
+    model, = models
+    u0 = initial[model.target_field]
+    rhs = _fd_rhs(model, u0.size, space_axes[0].spacing)
 
+    def step(u):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-def _fd_rk4_steps(model, u, dx, dt, stride, count):
-    rhs = _fd_rhs(model, u.size, dx)
-    for _ in range(count):
-        for _ in range(stride):
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * dt * k1)
-            k3 = rhs(u + 0.5 * dt * k2)
-            k4 = rhs(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        yield u
+    return u0, step, lambda u: np.abs(u).max() <= BLOWUP_LIMIT, lambda block: (block,)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +421,10 @@ def _spectral_term_rhs(models, ks, mask, shape):
     return rhs
 
 
-def _spectral_slices(models, initial, space_axes, time_axis, dt):
+def _spectral_plan(models, initial, space_axes, dt):
     """Pseudo-spectral integration of periodic fields by ETDRK4 on their even
-    pure-derivative terms: the output slices after the first, in `_blocks`,
-    and the step settings. One field steps on its spectrum; coupled fields
+    pure-derivative terms: the initial spectrum, the step, the per-output
+    screen and `to_fields`. One field steps on its spectrum; coupled fields
     step as one stack of their spectra, under the stack of their symbols."""
     shape = tuple(a.count for a in space_axes)
     if len(shape) == 1 and len(models) != 1:
@@ -448,52 +439,16 @@ def _spectral_slices(models, initial, space_axes, time_axis, dt):
     else:
         lin, v0, step_rhs = (np.stack(lins), np.stack(spectra),
                              lambda v: np.stack(nonlin(list(v))))
-    stride = 1 if dt is None else max(1, int(round(time_axis.spacing / dt)))
-    dt = time_axis.spacing / stride
     # 2 sum|v| / prod(n) bounds max|u| over the grid: a spectrum whose bound
     # is within BLOWUP_LIMIT / 2 holds no slice that fails the blow-up check
     screen = 0.25 * BLOWUP_LIMIT * math.prod(shape)
-    # a symbol that grows a state the screen passes past the largest float
-    # within one output interval is refused before its contours are evaluated
-    if time_axis.spacing * lin.max() > math.log(np.finfo(float).max / screen):
-        raise SolverInstability("blow-up at output step 1")
 
     def to_fields(block):
         u = inverse(block).reshape((len(block), -1) + shape)
         return tuple(np.moveaxis(u, 1, 0))
 
-    states = _etdrk4_steps(Etdrk4(lin, dt), step_rhs, v0, stride, time_axis.count - 1)
-    return _blocks(states, lambda v: np.abs(v).sum() <= screen, to_fields), {"dt": dt}
-
-
-def _etdrk4_steps(stepper, nonlin, v, stride, count):
-    """The spectrum v, one field's or a stack of fields', after each output
-    interval."""
-    for _ in range(count):
-        for _ in range(stride):
-            v = stepper.step(v, nonlin)
-        yield v
-
-
-def _blocks(states, safe, to_fields):
-    """The states, one per output slice, in blocks: up to OUTPUT_BLOCK_BYTES
-    of consecutive states are stored, and `to_fields` turns the stack into
-    one stack of slices per field. A state that `safe` does not clear ends
-    its block at once, so the caller's blow-up check sees it before another
-    step runs. Blocks may share the store: each is read before the next is
-    requested."""
-    store, held = None, 0
-    for state in states:
-        if store is None:
-            store = np.empty((max(1, OUTPUT_BLOCK_BYTES // state.nbytes),) + state.shape,
-                             state.dtype)
-        store[held] = state
-        held += 1
-        if held == len(store) or not safe(state):
-            yield to_fields(store[:held])
-            held = 0
-    if held:
-        yield to_fields(store[:held])
+    return (v0, partial(Etdrk4(lin, dt).step, nonlin=step_rhs),
+            lambda v: np.abs(v).sum() <= screen, to_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -504,35 +459,67 @@ def _integrate(models, initial, space_axes, time_axis, boundary, dt):
 
     `initial` maps each model's target field to its values on the space
     grid, and `boundary` to its boundary kind. `dt` is the time step, rounded
-    so that whole steps span each output interval. Returns the
-    trajectories, shaped space + time with `initial` as the first slice, and
-    the step settings. The trajectories are read-only, so a Dataset holds
-    them without a copy. Raises SolverInstability when a value at an output
-    time is non-finite or beyond BLOWUP_LIMIT, naming the first such output
-    step; no step runs past it.
+    so that whole steps span each output interval; None takes one step per
+    output interval on periodic grids and the stencils' stability step
+    (`_fd_stability_step`) on bounded ones, and a dt that is not a positive
+    finite number raises a DatasetError. Returns the trajectories, shaped
+    space + time with `initial` as the first slice, and the step settings.
+    The trajectories are read-only, so a Dataset holds them without a copy.
+
+    Each integrator is a plan: an initial state, one step, a per-output
+    screen and `to_fields`, which turns a stack of states into one stack of
+    slices per field. This loop steps every plan: up to OUTPUT_BLOCK_BYTES
+    of consecutive output states are held, and a state that the screen does
+    not clear ends its block at once. Each block is checked before the next
+    step runs: a value that is non-finite or beyond BLOWUP_LIMIT raises
+    SolverInstability, naming the first such output step. The plan and the
+    loop run under np.errstate(over="raise", invalid="raise"), so an
+    overflow or an invalid operation on the way to output step k raises
+    SolverInstability("blow-up at output step k"), at no cost per step.
     """
     fields = [m.target_field for m in models]
     if all(boundary[f] == "periodic" for f in fields):
-        blocks, info = _spectral_slices(models, initial, space_axes, time_axis, dt)
+        plan, stable_dt = _spectral_plan, math.inf
+    elif len(models) != 1 or len(space_axes) != 1:
+        raise DatasetError("bounded integration supports a single 1D field")
     else:
-        blocks, info = _fd_slices(models, initial, space_axes, time_axis, dt)
+        plan, stable_dt = _fd_plan, _fd_stability_step(models[0], space_axes[0].spacing)
+    if dt is None:
+        stride = max(1, math.ceil(time_axis.spacing / stable_dt))
+    elif dt > 0 and math.isfinite(dt):
+        stride = max(1, int(round(time_axis.spacing / dt)))
+    else:
+        raise DatasetError(f"dt must be a positive finite number, got {dt}")
+    dt = time_axis.spacing / stride
     out = {}
     for f in fields:
         out[f] = np.empty(initial[f].shape + (time_axis.count,))
         out[f][..., 0] = initial[f]
-    j = 1
-    for block in blocks:
-        count = len(block[0])
-        peaks = np.max([np.abs(u).reshape(count, -1).max(axis=1) for u in block], axis=0)
-        failed = np.flatnonzero(~(peaks <= BLOWUP_LIMIT))    # NaN fails it too
-        if failed.size:
-            raise SolverInstability(f"blow-up at output step {j + failed[0]}")
-        for f, u in zip(fields, block):
-            out[f][..., j:j + count] = np.moveaxis(u, 0, -1)
-        j += count
+    j = k = 1       # the first output step held, the output step on the way
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            state, step, screen, to_fields = plan(models, initial, space_axes, dt)
+            store = np.empty((max(1, OUTPUT_BLOCK_BYTES // state.nbytes),) + state.shape,
+                             state.dtype)
+            for k in range(1, time_axis.count):
+                for _ in range(stride):
+                    state = step(state)
+                store[k - j] = state
+                if k - j + 1 < len(store) and k + 1 < time_axis.count and screen(state):
+                    continue
+                block = to_fields(store[:k - j + 1])
+                peaks = np.max([np.abs(u).reshape(len(u), -1).max(axis=1) for u in block], axis=0)
+                failed = np.flatnonzero(~(peaks <= BLOWUP_LIMIT))    # NaN fails it too
+                if failed.size:
+                    raise SolverInstability(f"blow-up at output step {j + failed[0]}")
+                for f, u in zip(fields, block):
+                    out[f][..., j:k + 1] = np.moveaxis(u, 0, -1)
+                j = k + 1
+    except FloatingPointError:
+        raise SolverInstability(f"blow-up at output step {k}") from None
     for values in out.values():
         values.flags.writeable = False
-    return out, info
+    return out, {"dt": dt, "stride": stride}
 
 
 def integrate_model(models, initial: Dataset, dt: float | None = None) -> Dataset:
@@ -542,8 +529,9 @@ def integrate_model(models, initial: Dataset, dt: float | None = None) -> Datase
     returned Dataset is aligned with it slice for slice. Periodic fields, a 1D
     field or coupled 2D fields, use ETDRK4 on the even pure-derivative subset,
     one step per output interval when `dt` is None; Dirichlet fields use RK4
-    over ghost-closure stencils. A term that reads a field no model targets
-    raises a DatasetError.
+    over ghost-closure stencils, at their stability step when `dt` is None.
+    A `dt` that is not a positive finite number, or a term that reads a field
+    no model targets, raises a DatasetError.
     """
     if isinstance(models, DiscoveredModel):
         models = [models]

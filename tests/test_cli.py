@@ -206,7 +206,9 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--seeds", "0"),
-                                               ("--noise", "0:0.1:0")])
+                                               ("--noise", "0:0.1:0"), ("--noise", "0:inf:2"),
+                                               ("--noise", "nan:0.1:2"),
+                                               ("--noise", "0.2:-0.1:4")])
     def test_bad_sweep_argument_exit_four(self, tiny_run, tmp_path, capsys, option, value):
         # each is refused before any cell runs, so no sweep.csv is written
         _, data, _ = tiny_run

@@ -412,9 +412,9 @@ class TestIntegrateModel:
         # backward-diffusion model blows up immediately
         bad = DiscoveredModel((TermDescriptor((), ("u", (4,))),),
                               np.array([1.0]), "u", 0.0)
-        # growth past the largest float within one output interval is
-        # refused before any ETDRK4 coefficient is evaluated, so no overflow
-        # warning is raised, with or without a given step
+        # the symbol's ETDRK4 coefficients overflow: that overflow is the
+        # blow-up at output step 1, not a RuntimeWarning, with or without a
+        # given step
         for dt in (None, 0.1):
             with pytest.raises(SolverInstability, match="blow-up at output step 1$"):
                 integrate_model(bad, burgers_dataset, dt=dt)
@@ -463,6 +463,23 @@ class TestIntegrateModel:
         growth = DiscoveredModel((TermDescriptor((("u", 1),)),), np.array([20.0]), "u", 0.0)
         with pytest.raises(SolverInstability, match="blow-up"):
             integrate_model(growth, initial)
+
+    def test_rk4_overflow_within_an_output_interval_raises(self):
+        # u_t = +u_xxxx over the Dirichlet stencils at the stability stride
+        # overflows before the first output slice; the overflow is the
+        # blow-up, not a RuntimeWarning
+        data = generate_benchmark("kdv", replace(default_config("kdv"), t_final=0.05))
+        bad = DiscoveredModel((TermDescriptor((), ("u", (4,))),), np.array([1.0]), "u", 0.0)
+        with pytest.raises(SolverInstability, match="blow-up at output step 1$"):
+            integrate_model(bad, data)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["kdv", "burgers-hyper"])
+    def test_step_that_is_not_positive_and_finite_raises(self, kdv_dataset, burgers_dataset,
+                                                        name, dt):
+        data = kdv_dataset if name == "kdv" else burgers_dataset
+        with pytest.raises(DatasetError, match="dt must be a positive finite number"):
+            integrate_model(reference_model(name), data, dt=dt)
 
 
 def assert_close_to_scale(got, ref, rtol=1e-13):

@@ -2,11 +2,12 @@
 
     python3 tools/artifact_digests.py OUTDIR
 
-Runs the CLI of the package in ../src: `generate` for every benchmark, then
-`discover` and `baseline` (STLSQ at its default threshold, and TrainSTRidge)
-for kdv, burgers-hyper, modified-ks, and the rd2d fields u and v. It then
-prints `sha256  path` for every file it wrote under OUTDIR except the
-`manifest.json` files, which record the environment, and
+Runs the CLI of the package in ../src: `generate` for every benchmark, each
+into its own `data/<benchmark>/` directory so that each gets its own
+manifest, then `discover` and `baseline` (STLSQ at its default threshold,
+and TrainSTRidge) for kdv, burgers-hyper, modified-ks, and the rd2d fields
+u and v. It then prints `sha256  path` for every file it wrote under OUTDIR
+except the `manifest.json` files, which record the environment, and
 `sha256  path#config` for the `config` entry alone of each `manifest.json`
 (its canonical JSON, so a change to a recipe or a benchmark config shows
 without the environment), sorted by path.
@@ -45,9 +46,9 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     for benchmark in BENCHMARKS:
-        bgsindy("generate", benchmark, "--out", str(out / "data"))
+        bgsindy("generate", benchmark, "--out", str(out / "data" / benchmark))
     for benchmark, target in TARGETS:
-        run = [f"--data={out / 'data' / benchmark}", f"--benchmark={benchmark}",
+        run = [f"--data={out / 'data' / benchmark / benchmark}", f"--benchmark={benchmark}",
                f"--target={target}"]
         name = f"{benchmark}-{target}"
         bgsindy("discover", *run, f"--out={out / 'discover' / name}")
