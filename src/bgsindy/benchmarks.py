@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DatasetError, add_noise, from_entries, sample_box, subsample
+from .core import (Dataset, DatasetError, add_noise, check_entry, from_entries, sample_box,
+                   subsample)
 from .differentiation import sg_smooth
 from .library import (AXIS_LETTERS, LibrarySpec, build_library, library_fields,
                       reduce_independent, row_half_widths, row_margins)
@@ -66,12 +69,16 @@ def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
 def override_recipe(recipe: dict, overrides: dict) -> dict:
     """The recipe with its entries overridden: a dict updates the recipe's
     dict entry key by key, any other value replaces the entry. An entry the
-    recipe lacks raises DatasetError."""
+    recipe lacks, or a `benchmark` or `target_field` that is no string,
+    raises DatasetError."""
     if not isinstance(overrides, dict):
         raise DatasetError(f"recipe overrides must be a JSON object, got {overrides!r}")
     unknown = sorted(set(overrides) - set(recipe))
     if unknown:
         raise DatasetError(f"unknown recipe entry {unknown[0]!r}")
+    for name in ("benchmark", "target_field"):
+        if name in overrides:
+            check_entry("recipe entry", name, overrides[name], str)
     out = dict(recipe)
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(recipe[key], dict):
@@ -135,8 +142,11 @@ def run_discovery(dataset: Dataset, recipe: dict):
 
 def sweep_cell(dataset: Dataset, recipe: dict, gamma: float, n: int,
                cell_seed: int) -> dict:
-    """One noise-robustness cell: perturb, rediscover, score against truth."""
-    ref = reference_model(recipe["benchmark"], epsilon=dataset_config(dataset).epsilon)
+    """One noise-robustness cell: perturb, rediscover, score against the
+    reference model of the dataset's own benchmark and epsilon. It writes to
+    nothing it is given, so cells can run on concurrent threads."""
+    config = dataset_config(dataset)
+    ref = reference_model(config.benchmark, recipe["target_field"], epsilon=config.epsilon)
     noisy = add_noise(dataset, recipe["target_field"], gamma, cell_seed)
     r = {**recipe, "sample": {**recipe["sample"], "n": n, "seed": cell_seed}}
     model, _, _ = run_discovery(noisy, r)
@@ -170,34 +180,19 @@ def cell_seed(base_seed: int, i_gamma: int, i_n: int, rep: int) -> int:
 
 
 def run_sweep(dataset: Dataset, gammas, sample_counts, n_seeds: int = 3,
-              base_seed: int = 0, recipe: dict | None = None,
-              workers: int = 1) -> list[dict]:
-    """Full noise/sample-count sweep; deterministic in base_seed regardless of
-    worker count."""
-    recipe = recipe or sweep_recipe("kdv")
+              base_seed: int = 0, recipe: dict | None = None) -> list[dict]:
+    """Full noise/sample-count sweep, by default with the `sweep_recipe` of
+    the dataset's benchmark. The cells run on one thread per CPU the process
+    may use; their time goes to numpy and LAPACK, which release the GIL.
+    Every cell's seed is fixed before the pool starts and `map` keeps job
+    order, so the cells are deterministic in base_seed."""
+    recipe = recipe or sweep_recipe(dataset_config(dataset).benchmark)
     jobs = []
     for ig, g in enumerate(gammas):
         for i_n, n in enumerate(sample_counts):
             for rep in range(n_seeds):
                 jobs.append((float(g), int(n), cell_seed(base_seed, ig, i_n, rep)))
-    if workers > 1:
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_pool,
-                      initargs=(dataset, recipe)) as pool:
-            results = pool.starmap(_pool_cell, jobs)
-    else:
-        results = [sweep_cell(dataset, recipe, *job) for job in jobs]
-    return results
-
-
-_POOL_STATE: dict = {}
-
-
-def _init_pool(dataset, recipe):
-    _POOL_STATE["dataset"] = dataset
-    _POOL_STATE["recipe"] = recipe
-
-
-def _pool_cell(gamma, n, seed):
-    return sweep_cell(_POOL_STATE["dataset"], _POOL_STATE["recipe"], gamma, n, seed)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(cpus) as pool:
+        return list(pool.map(lambda job: sweep_cell(dataset, recipe, *job), jobs))

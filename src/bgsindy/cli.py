@@ -22,7 +22,7 @@ import scipy
 from . import __version__
 from .baselines import stlsq, train_stridge
 from .benchmarks import (build_reduced_library, discovery_recipe, override_recipe,
-                         run_discovery, run_sweep, sweep_recipe)
+                         run_discovery, run_sweep)
 from .core import (DatasetError, DiscoveredModel, check_entry, json_entry, load_dataset,
                    save_dataset)
 from .metrics import coefficient_error, relative_l2, structure_match
@@ -124,9 +124,8 @@ def _load_recipe(args) -> dict:
     if args.library_spec:
         overrides = _read_json(args.library_spec)
         if recipe is None:
-            if "benchmark" not in overrides:
-                raise CliError("library spec without --benchmark must name one")
-            recipe = discovery_recipe(overrides["benchmark"])
+            recipe = discovery_recipe(json_entry(overrides, "benchmark", str,
+                                                 "library spec without --benchmark"))
         recipe = override_recipe(recipe, overrides)
     if recipe is None:
         raise CliError("discover needs --benchmark and/or --library-spec")
@@ -232,15 +231,7 @@ def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     dataset = load_dataset(args.data)
-    try:
-        workers = int(os.environ.get("BGSINDY_THREADS", "1"))
-    except ValueError as exc:
-        raise CliError(f"BGSINDY_THREADS must be an integer: {exc}") from exc
-    if workers < 1:
-        raise CliError(f"BGSINDY_THREADS must be a positive integer, got {workers}")
-    recipe = sweep_recipe(dataset_config(dataset).benchmark)
-    results = run_sweep(dataset, gammas, ns, args.seeds, args.seed, recipe,
-                        workers=workers)
+    results = run_sweep(dataset, gammas, ns, args.seeds, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(outdir / "sweep.json", results)

@@ -561,14 +561,12 @@ def integrate_model(models, initial: Dataset, dt: float | None = None) -> Datase
 class Benchmark:
     """Every fact about one of the paper's benchmarks. `equations(eps)` maps
     each field to its (term, coefficient) pairs at the small coefficient eps,
-    `initial(axes)` to its values on the space grid; `stability(config, axes)`
-    gives the step-size figures the metadata records; `recipe` holds the
+    `initial(axes)` to its values on the space grid; `recipe` holds the
     `discovery_recipe` entries that differ from the common recipe."""
     config: BenchmarkConfig
     boundary: str
     equations: Callable[[float], dict]
     initial: Callable[[tuple[Axis, ...]], dict]
-    stability: Callable[[BenchmarkConfig, tuple[Axis, ...]], dict]
     recipe: dict
 
 
@@ -579,12 +577,6 @@ def _flux(p: int) -> TermDescriptor:
 
 def _deriv(field: str, *orders: int) -> TermDescriptor:
     return TermDescriptor((), (field, orders))
-
-
-def _max_wavenumber(axes) -> float:
-    """Largest wavenumber the 2/3 rule keeps on a 1D periodic grid."""
-    (k,), mask = _spectral_grid(axes)
-    return k[mask].max()
 
 
 def _kdv_initial(axes):
@@ -628,9 +620,6 @@ BENCHMARKS = {
         boundary="dirichlet-homogeneous",
         equations=lambda eps: {"u": [(_flux(1), -1.0), (_deriv("u", 3), -eps)]},
         initial=_kdv_initial,
-        stability=lambda c, axes: {
-            "dispersive_lambda_dt": c.epsilon * 4.61 / axes[0].spacing**3 * c.dt,
-            "rk4_imag_limit": 2.828},
         recipe={"library": {"poly_degree": 2, "deriv_order": 4},
                 "smooth": [{"axis": "t", "window": 31, "degree": 3},
                            {"axis": "x", "window": 7, "degree": 3}],
@@ -643,7 +632,6 @@ BENCHMARKS = {
         equations=lambda eps: {"u": [(_flux(1), -1.0), (_deriv("u", 2), 0.5),
                                      (_deriv("u", 4), -eps)]},
         initial=lambda axes: {"u": np.cos(axes[0].points() / 16.0)},
-        stability=lambda c, axes: {"advective_cfl": float(c.dt * _max_wavenumber(axes))},
         recipe={"library": {"poly_degree": 2, "deriv_order": 4, "time_accuracy": 6}}),
     # KS augmented with the conservative small-coefficient nonlinearities
     # -k eps u^(k-1) u_x, k = 3..6.
@@ -654,8 +642,6 @@ BENCHMARKS = {
                                      (_deriv("u", 4), -1.0)]
                                     + [(_flux(k - 1), -k * eps) for k in range(3, 7)]},
         initial=_modified_ks_initial,
-        stability=lambda c, axes: {
-            "advective_cfl": float(3.5 * c.dt * _max_wavenumber(axes))},
         recipe={"library": {"poly_degree": 10, "deriv_order": 10}}),
     # Coupled cubic reaction-diffusion system on a periodic square grid.
     "rd2d": Benchmark(
@@ -664,8 +650,6 @@ BENCHMARKS = {
         boundary="periodic",
         equations=_rd2d_equations,
         initial=_rd2d_initial,
-        stability=lambda c, axes: {"diffusion_lambda_max": float(
-            c.epsilon * sum(k**2 for k in _spectral_grid(axes)[0]).max())},
         recipe={"library": {"poly_degree": 3, "deriv_order": 2},
                 "sample": {"time_window": [10, None]}}),
 }
@@ -719,8 +703,7 @@ def generate_benchmark(benchmark: str, config: BenchmarkConfig | None = None) ->
     time_axis = Axis(0.0, config.output_dt, int(round(config.t_final / config.output_dt)) + 1)
     boundaries = {f: entry.boundary for f in initial}
     fields, _ = _integrate(models, initial, axes, time_axis, boundaries, config.dt)
-    meta = {"benchmark": benchmark, "config": config.to_json_dict(),
-            "stability": entry.stability(config, axes)}
+    meta = {"benchmark": benchmark, "config": config.to_json_dict()}
     return Dataset(axes, time_axis, fields, boundaries, meta)
 
 

@@ -187,16 +187,6 @@ class TestErrors:
         assert "provenance" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("threads", ["two", "0", "-3"])
-    def test_non_integer_threads_exit_four(self, tiny_run, tmp_path, capsys, monkeypatch,
-                                           threads):
-        _, data, _ = tiny_run
-        monkeypatch.setenv("BGSINDY_THREADS", threads)
-        assert main(["sweep", "--data", str(data / "kdv"), "--noise", "0:0.05:2",
-                     "--samples", "300", "--seeds", "1", "--out", str(tmp_path / "o")]) == 4
-        assert "BGSINDY_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("samples", ["100,abc", "0", "100,2.5"])
     def test_bad_samples_exit_four(self, tiny_run, tmp_path, capsys, samples):
         _, data, _ = tiny_run
@@ -315,14 +305,20 @@ class TestErrors:
                  ({"smooth": 5}, "smooth"),
                  ({"target_field": "w"}, "'w'"),
                  ({"library": {"kind": "rd-2d"}}, "'kind'"),
-                 (["smooth"], "JSON object")]
-        for i, (spec, name) in enumerate(specs):
+                 (["smooth"], "JSON object"),
+                 ({"target_field": ["u"]}, "'target_field'"),
+                 ({"benchmark": ["kdv"]}, "'benchmark'")]
+        runs = [(["discover", "--benchmark", "kdv"], spec, name) for spec, name in specs]
+        runs += [(["baseline", "--method", "stlsq", "--benchmark", "kdv"],
+                  {"target_field": {"u": 1}}, "'target_field'"),
+                 (["discover"], {"benchmark": ["kdv"]}, "'benchmark'")]
+        for i, (command, spec, name) in enumerate(runs):
             path = tmp_path / f"spec{i}.json"
             path.write_text(json.dumps(spec))
             out = tmp_path / f"o{i}"
-            assert main(["discover", "--data", str(data / "kdv"), "--benchmark", "kdv",
-                         "--library-spec", str(path), "--out", str(out)]) == 4, spec
-            assert name in capsys.readouterr().err, spec
+            assert main([*command, "--data", str(data / "kdv"), "--library-spec", str(path),
+                         "--out", str(out)]) == 4, (command, spec)
+            assert name in capsys.readouterr().err, (command, spec)
             assert not (out / "manifest.json").exists()
 
     def test_malformed_trace_exit_four(self, tiny_run, tmp_path, capsys):

@@ -6,7 +6,8 @@ Runs the CLI of the package in ../src: `generate` for every benchmark, each
 into its own `data/<benchmark>/` directory so that each gets its own
 manifest, then `discover` and `baseline` (STLSQ at its default threshold,
 and TrainSTRidge) for kdv, burgers-hyper, modified-ks, and the rd2d fields
-u and v. It then prints `sha256  path` for every file it wrote under OUTDIR
+u and v, and a small `sweep` (2 noise levels, n = 1000, 2 seeds) on kdv.
+It then prints `sha256  path` for every file it wrote under OUTDIR
 except the `manifest.json` files, which record the environment, and
 `sha256  path#config` for the `config` entry alone of each `manifest.json`
 (its canonical JSON, so a change to a recipe or a benchmark config shows
@@ -55,6 +56,8 @@ def main(argv: list[str]) -> int:
         for method in ("stlsq", "stridge"):
             bgsindy("baseline", f"--method={method}", *run,
                     f"--out={out / 'baseline' / method / name}")
+    bgsindy("sweep", f"--data={out / 'data' / 'kdv' / 'kdv'}", "--noise=0:0.05:2",
+            "--samples=1000", "--seeds=2", f"--out={out / 'sweep'}")
     digests = {}
     for path in (p for p in out.rglob("*") if p.is_file()):
         name = path.relative_to(out).as_posix()
