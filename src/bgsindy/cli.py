@@ -120,6 +120,9 @@ def cmd_generate(args) -> int:
 
 
 def _load_recipe(args) -> dict:
+    """The recipe of --benchmark, or of the library spec's `benchmark`
+    without it, overridden by the spec; a spec whose `benchmark` disagrees
+    with --benchmark is refused, so that the manifest names what ran."""
     recipe = discovery_recipe(args.benchmark) if args.benchmark else None
     if args.library_spec:
         overrides = _read_json(args.library_spec)
@@ -127,6 +130,9 @@ def _load_recipe(args) -> dict:
             recipe = discovery_recipe(json_entry(overrides, "benchmark", str,
                                                  "library spec without --benchmark"))
         recipe = override_recipe(recipe, overrides)
+        if args.benchmark and recipe["benchmark"] != args.benchmark:
+            raise CliError(f"library spec entry 'benchmark' is {recipe['benchmark']!r}, "
+                           f"but --benchmark is {args.benchmark!r}")
     if recipe is None:
         raise CliError("discover needs --benchmark and/or --library-spec")
     if args.target:

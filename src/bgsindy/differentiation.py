@@ -62,11 +62,18 @@ def central_weights(orders, spacing: float, accuracy: int = 4) -> np.ndarray:
 
 
 def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
-            accuracy: int = 4) -> np.ndarray:
+            accuracy: int = 4, indices: np.ndarray | None = None) -> np.ndarray:
     """Finite-difference derivative along one axis of an array.
 
     Central stencils in the interior, one-sided stencils of the same
     accuracy at both ends.
+
+    With flat `indices` into `values`, the derivative at those points only,
+    bit for bit the full result there. When they are fewer than the points of
+    `values`, an interior point gathers its central taps and adds their
+    products one by one from zero, in the order in which the sliding-window
+    product sums them, and a point in an end row reads that row, formed as
+    for the full grid. Otherwise the full result is sampled.
     """
     if order < 1 or order > MAX_ORDER:
         raise DatasetError(f"derivative order must be in 1..{MAX_ORDER}")
@@ -80,14 +87,37 @@ def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
     half = wc.size // 2
 
     f = np.moveaxis(values, axis, -1)
-    out = np.empty_like(f, dtype=np.float64)
-    out[..., half:m - half] = sliding_window_view(f, wc.size, axis=-1) @ wc
+    nodes = np.arange(width, dtype=float)
+    ends = {}       # end row -> its values on every line along the axis
     for i in range(half):
-        wl = fornberg_weights(float(i), np.arange(width, dtype=float), order)
-        out[..., i] = f[..., :width] @ (wl / spacing**order)
-        wr = fornberg_weights(float(width - 1 - i), np.arange(width, dtype=float), order)
-        out[..., m - 1 - i] = f[..., m - width:] @ (wr / spacing**order)
-    return np.moveaxis(out, -1, axis)
+        wl = fornberg_weights(float(i), nodes, order)
+        ends[i] = f[..., :width] @ (wl / spacing**order)
+        wr = fornberg_weights(float(width - 1 - i), nodes, order)
+        ends[m - 1 - i] = f[..., m - width:] @ (wr / spacing**order)
+    if indices is None or indices.size >= values.size:
+        out = np.empty_like(f, dtype=np.float64)
+        out[..., half:m - half] = sliding_window_view(f, wc.size, axis=-1) @ wc
+        for row, line_values in ends.items():
+            out[..., row] = line_values
+        out = np.moveaxis(out, -1, axis)
+        return out if indices is None else out.ravel()[indices]
+
+    # in C order, a tap k steps from its point lies k * stride further on
+    stride = math.prod(values.shape[axis + 1:])
+    flat = values.reshape(-1)
+    t = indices // stride % m
+    out = np.empty(t.size)
+    inner = (t >= half) & (t < m - half)
+    first = indices[inner] - half * stride
+    total = np.zeros(first.size)
+    for k, w in enumerate(wc):
+        total += flat[first + k * stride] * w
+    out[inner] = total
+    for row, line_values in ends.items():
+        hit = t == row
+        lines = np.unravel_index(indices[hit], values.shape)
+        out[hit] = line_values[lines[:axis] + lines[axis + 1:]]
+    return out
 
 
 def axis_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
@@ -166,12 +196,14 @@ def spectral_diff_at(spectrum: np.ndarray, axis: int, n: int, spacing: float, or
     return out
 
 
-def time_derivative(dataset: Dataset, field: str, accuracy: int = 2) -> np.ndarray:
+def time_derivative(dataset: Dataset, field: str, accuracy: int = 2,
+                    indices: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of a field at the given accuracy order: central
-    interior, one-sided at the ends."""
+    interior, one-sided at the ends; with flat grid `indices`, at those
+    points only (`fd_diff`)."""
     ax = len(dataset.space_axes)
     return fd_diff(dataset.fields[field], ax, dataset.time_axis.spacing, 1,
-                   accuracy=accuracy)
+                   accuracy=accuracy, indices=indices)
 
 
 def _sg_kernel(offsets: np.ndarray, degree: int, position: float) -> np.ndarray:

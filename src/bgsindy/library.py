@@ -346,12 +346,13 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                   half_widths: tuple[int, ...] | None = None) -> Library:
     """Evaluate the candidate terms and the time-derivative target at samples.
 
-    Grid-local rows take the space derivatives at the samples
-    (`_space_derivatives`); the time target is taken on the full grid. With
-    a test function (spec.test_function_degree), `half_widths` defaults
-    to `row_half_widths`, and every sample must lie `row_margins` away from
-    the ends of each axis, as `subsample(..., margins=row_margins(...))`
-    draws them. Columns are filtered one at a time on the full grid.
+    Grid-local rows take the space derivatives (`_space_derivatives`) and
+    the time target (`time_derivative`) at the samples. With a test function
+    (spec.test_function_degree), `half_widths` defaults to
+    `row_half_widths`, and every sample must lie `row_margins` away from the
+    ends of each axis, as `subsample(..., margins=row_margins(...))` draws
+    them. Columns and the time target are then filtered one at a time on the
+    full grid.
     """
     if sample_set.shape != dataset.shape:
         raise DatasetError("sample set was drawn from a different grid")
@@ -367,7 +368,7 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
         sampled_derivs = _space_derivatives(dataset, needed, idx)
         for j, t in enumerate(terms):
             matrix[:, j] = t.evaluate(powers, sampled_derivs)
-        target = time_derivative(dataset, target_field, spec.time_accuracy).ravel()[idx]
+        target = time_derivative(dataset, target_field, spec.time_accuracy, idx)
     else:
         if half_widths is None:
             half_widths = row_half_widths(dataset, target_field, spec)

@@ -321,6 +321,39 @@ class TestErrors:
             assert name in capsys.readouterr().err, (command, spec)
             assert not (out / "manifest.json").exists()
 
+    def test_library_spec_benchmark_must_match_flag(self, tiny_run, tmp_path, capsys,
+                                                     monkeypatch):
+        # a spec naming another benchmark than --benchmark is refused before
+        # the data is read; the same name still runs, and the manifest names it
+        _, data, run = tiny_run
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"benchmark": "kdv"}))
+        out = tmp_path / "same"
+        assert main(["discover", "--data", str(data / "kdv"), "--benchmark", "kdv",
+                     "--library-spec", str(path), "--out", str(out)]) == 0
+        assert (out / "model.json").read_bytes() == (run / "model.json").read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["config"]["benchmark"] == "kdv"
+
+        def no_load(path):
+            raise AssertionError("the data was loaded before the recipe was checked")
+        monkeypatch.setattr(bgsindy.cli, "load_dataset", no_load)
+        path.write_text(json.dumps({"benchmark": "rd2d"}))
+        for i, command in enumerate((["discover"], ["baseline", "--method", "stlsq"])):
+            out = tmp_path / f"o{i}"
+            assert main([*command, "--data", str(data / "kdv"), "--benchmark", "kdv",
+                         "--library-spec", str(path), "--out", str(out)]) == 4, command
+            assert "'benchmark'" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exit_four(self, tiny_run, tmp_path, capsys, tau):
+        _, data, _ = tiny_run
+        out = tmp_path / "o"
+        assert main(["discover", "--data", str(data / "kdv"), "--benchmark", "kdv",
+                     "--tau", tau, "--out", str(out)]) == 4
+        assert "tau" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_malformed_trace_exit_four(self, tiny_run, tmp_path, capsys):
         # every trace entry report prints is read by its type
         _, _, run = tiny_run

@@ -203,6 +203,29 @@ class TestTimeDerivative:
             Dataset((Axis(0, 0.1, 8),), Axis(0, 0.1, 3),
                     {"u": np.zeros((8, 3))}, {"u": "periodic"})
 
+    @pytest.mark.parametrize("accuracy", [2, 4])
+    @pytest.mark.parametrize("space", [(24,), (12, 10)])
+    def test_at_samples_equals_full_grid_bit_for_bit(self, rng, space, accuracy):
+        # values over six decades, so that summing the taps in another order
+        # (a BLAS product, einsum) moves the last bits
+        m = 40
+        fields = {f: rng.standard_normal(space + (m,)) * 10.0 ** rng.uniform(-3, 3, space + (m,))
+                  for f in "uv"[:len(space)]}
+        ds = Dataset(tuple(Axis(0.0, 0.1, n) for n in space), Axis(0.0, 0.013, m),
+                     fields, {f: "periodic" for f in fields})
+        grid = np.arange(ds.total_points).reshape(ds.shape)
+        lines = grid.reshape(-1, m)[rng.choice(grid.size // m, 5, replace=False)]
+        indices = np.concatenate([lines[:, [0, 1, m - 2, m - 1]].ravel(),
+                                  rng.choice(ds.total_points, ds.total_points // 3,
+                                             replace=False)])
+        for f in fields:
+            full = time_derivative(ds, f, accuracy)
+            assert np.array_equal(time_derivative(ds, f, accuracy, indices),
+                                  full.ravel()[indices])
+            everywhere = rng.permutation(ds.total_points)
+            assert np.array_equal(time_derivative(ds, f, accuracy, everywhere),
+                                  full.ravel()[everywhere])
+
 
 class TestSmoothing:
     def test_polynomial_reproduction(self):

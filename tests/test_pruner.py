@@ -6,7 +6,7 @@ import pytest
 
 from bgsindy import (DatasetError, Library, LibrarySpec, PrunerConfig,
                      TermDescriptor, discover, importance, least_squares)
-from bgsindy.pruner import _ActiveSystem
+from bgsindy.pruner import _ActiveSystem, _row_weights
 
 
 def synthetic_library(n=400, m=8, k_true=3, seed=0, noise=0.0):
@@ -78,6 +78,62 @@ class TestImportance:
         phi = rng.standard_normal((50, 3)) * 1e-300
         with pytest.raises(DatasetError, match="underflows"):
             importance(phi, np.ones(3))
+
+
+def full_scan_row_weights(absphi, active, absxi, epsilon_rel):
+    """The row weights from a running maximum over every active term, in
+    library order."""
+    rowmax = absphi[active[0]] * absxi[0]
+    for j, c in zip(active[1:], absxi[1:]):
+        rowmax = np.maximum(rowmax, absphi[j] * c)
+    gmax = rowmax.max()
+    return 1.0 / (rowmax + (epsilon_rel * gmax if gmax > 0 else 1.0))
+
+
+class TestRowMaxScan:
+    """`_row_weights` reads the terms in descending order of their bounds
+    max_i |phi_ij| |xi_j| and stops once no unread term can raise a row
+    maximum. The terms it may skip get NaN rows of |phi| (their column maxima
+    stay finite): a NaN read would reach the row maxima, so these tests fail
+    if the scan reads one."""
+
+    @staticmethod
+    def check(absphi, active, absxi, skippable):
+        colmax = absphi.max(axis=1)
+        poisoned = absphi.copy()
+        poisoned[skippable] = np.nan
+        r = _row_weights(poisoned, colmax, active, absxi, 1e-6)
+        assert np.array_equal(r, full_scan_row_weights(absphi, active, absxi, 1e-6))
+
+    def test_dominant_trio_and_small_coefficients(self, rng):
+        # three terms set every row's maximum; 37 small-coefficient terms,
+        # their bounds at most 1e-6, are never read
+        absphi = rng.uniform(0.0, 1.0, (40, 5000))
+        absphi[[4, 17, 31]] += 1.0
+        absxi = 10.0 ** rng.uniform(-12, -6, 40)
+        absxi[[4, 17, 31]] = rng.uniform(1.0, 2.0, 3)
+        self.check(absphi, range(40), absxi, [j for j in range(40) if j not in (4, 17, 31)])
+        # the same on an active subset, with its own coefficient order
+        active = [2, 4, 9, 17, 23, 31, 38]
+        self.check(absphi, active, absxi[active], [2, 9, 23, 38])
+
+    def test_row_near_zero_in_every_column_reads_every_term(self, rng):
+        absphi = rng.uniform(0.0, 1.0, (12, 3000)) * 10.0 ** rng.integers(-8, 3, (12, 1))
+        absphi[:, 1234] = rng.uniform(0.0, 1e-200, 12)
+        absxi = 10.0 ** rng.uniform(-6, 0, 12)
+        self.check(absphi, range(12), absxi, [])
+
+    def test_zero_coefficient_and_tied_bounds(self, rng):
+        # columns 0 and 1 hold the same values in another order, so their
+        # bounds tie; column 2's coefficient is 0, so its bound is 0
+        absphi = rng.uniform(0.5, 1.0, (6, 2000))
+        absphi[1] = absphi[0][::-1]
+        absphi[3:] *= 1e-3
+        absxi = np.array([2.0, 2.0, 0.0, 1.0, 1.0, 1.0])
+        self.check(absphi, range(6), absxi, [2, 3, 4, 5])
+        # every bound tied: each term sets some row's maximum, so all are read
+        absphi = rng.permuted(np.tile(np.linspace(0.0, 1.0, 1000), (5, 1)), axis=1)
+        self.check(absphi, range(5), np.ones(5), [])
 
 
 def reference_prune(lib, config):
@@ -293,7 +349,8 @@ class TestDiscover:
             assert [float(cells[j]) for j in it.active] == list(it.importances)
 
     def test_config_validation(self):
-        with pytest.raises(DatasetError):
-            PrunerConfig(tau=1.0)
-        with pytest.raises(DatasetError):
-            PrunerConfig(epsilon_rel=0.0)
+        for entries in ({"tau": 1.0}, {"tau": np.nan}, {"tau": np.inf},
+                        {"epsilon_rel": 0.0}, {"epsilon_rel": np.nan},
+                        {"epsilon_rel": np.inf}):
+            with pytest.raises(DatasetError, match=next(iter(entries))):
+                PrunerConfig(**entries)
