@@ -16,6 +16,7 @@ from .core import Dataset, DatasetError
 MAX_ORDER = 10
 MAX_ACCURACY = 8
 DIRECT_TAPS = 48      # direct sums beat the FFT up to here (260 x 3001 grid)
+GATHER_COST = 6       # a point's taps gathered cost about this many grid points' (3-13 measured)
 SAMPLE_CHUNK = 1024   # points per block in `spectral_diff_at`
 
 
@@ -61,6 +62,12 @@ def central_weights(orders, spacing: float, accuracy: int = 4) -> np.ndarray:
     return table
 
 
+def _gather_cheaper(n_points: int, grid_points: int) -> bool:
+    """Do n_points gathered tap by tap (each costing about GATHER_COST grid
+    points of the sliding-window product) cost less than the full grid?"""
+    return n_points * GATHER_COST < grid_points
+
+
 def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
             accuracy: int = 4, indices: np.ndarray | None = None) -> np.ndarray:
     """Finite-difference derivative along one axis of an array.
@@ -69,11 +76,11 @@ def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
     accuracy at both ends.
 
     With flat `indices` into `values`, the derivative at those points only,
-    bit for bit the full result there. When they are fewer than the points of
-    `values`, an interior point gathers its central taps and adds their
-    products one by one from zero, in the order in which the sliding-window
-    product sums them, and a point in an end row reads that row, formed as
-    for the full grid. Otherwise the full result is sampled.
+    bit for bit the full result there. Where that takes fewer operations
+    (`_gather_cheaper`), an interior point gathers its central taps and adds
+    their products one by one from zero, in the order in which the
+    sliding-window product sums them, and a point in an end row reads that
+    row, formed as for the full grid. Otherwise the full result is sampled.
     """
     if order < 1 or order > MAX_ORDER:
         raise DatasetError(f"derivative order must be in 1..{MAX_ORDER}")
@@ -94,7 +101,7 @@ def fd_diff(values: np.ndarray, axis: int, spacing: float, order: int,
         ends[i] = f[..., :width] @ (wl / spacing**order)
         wr = fornberg_weights(float(width - 1 - i), nodes, order)
         ends[m - 1 - i] = f[..., m - width:] @ (wr / spacing**order)
-    if indices is None or indices.size >= values.size:
+    if indices is None or not _gather_cheaper(indices.size, values.size):
         out = np.empty_like(f, dtype=np.float64)
         out[..., half:m - half] = sliding_window_view(f, wc.size, axis=-1) @ wc
         for row, line_values in ends.items():

@@ -5,8 +5,9 @@ dataset is its reference models integrated from its initial fields by the
 code that reintegrates discovered models (`integrate_model`).
 Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
 space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
-by contour quadrature); a small 1D grid's right-hand side transforms by dense
-DFT matrices. Bounded fields (KdV) use RK4 over 4th-order central
+by contour quadrature); a small 1D grid steps on the real and imaginary parts
+of its spectrum, with a right-hand side folded into real DFT matrices.
+Bounded fields (KdV) use RK4 over 4th-order central
 differences with an antisymmetric ghost closure consistent with homogeneous
 Dirichlet walls: each right-hand side pads u with its odd reflection about
 both walls and applies the central stencils of every derivative order a
@@ -34,8 +35,9 @@ from .library import TermDescriptor, power_degrees, power_table, power_tables
 
 BLOWUP_LIMIT = 1e6
 N_CONTOUR = 64          # contour points per ETDRK4 coefficient
-# 1D grids of up to this many points transform by dense DFT matrices in the
-# right-hand side; from 224 points up numpy's FFT is as fast or faster
+# 1D grids of up to this many points step on `_dense_rhs`. The limit is where
+# an earlier complex-state dense step stopped beating numpy's FFT (224
+# points); the real-state step still beats the FFT plan at 256
 DENSE_DFT_MAX_POINTS = 192
 # output spectra (or grids) held per batched inverse transform and copy
 OUTPUT_BLOCK_BYTES = 1 << 20
@@ -188,10 +190,10 @@ class Etdrk4:
             2 * dt * ((2 + lr + elr * (lr - 2)) / lr**3).mean(-1).real,
             dt * ((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3).mean(-1).real)
         index = index.reshape(lin.shape)
-        # real values stored complex: a real factor would be cast to the
-        # same complex values on every product
+        # stored real: a complex spectrum casts them to the complex values
+        # x + 0j on each product, bit for bit as if they were stored so
         (self.e_full, self.e_half, self.q, self.f1, self.f2_twice,
-         self.f3) = (c.astype(complex)[index] for c in coefficients)
+         self.f3) = (c[index] for c in coefficients)
 
     def step(self, v: np.ndarray, nonlin) -> np.ndarray:
         """One step. The stage algebra runs in place on the step's own
@@ -241,17 +243,73 @@ def _dense_grid(shape) -> bool:
     return len(shape) == 1 and shape[0] <= DENSE_DFT_MAX_POINTS
 
 
-def _dense_dft(n: int, kept: int):
-    """The real DFT pair of an n-point grid on its first `kept` modes, as real
-    matrices for row-vector products. `to_grid` maps the interleaved real and
-    imaginary parts of the kept modes (a complex array viewed as float) to
-    the grid: its rows are np.fft.irfft of unit spectra. `to_modes` maps the
-    grid to the kept modes, interleaved the same way: it is np.fft.rfft of
-    the identity."""
-    unit = np.eye(kept, n // 2 + 1, dtype=complex)
-    to_grid = np.stack([np.fft.irfft(unit, n=n), np.fft.irfft(1j * unit, n=n)], axis=1)
-    to_modes = np.ascontiguousarray(np.fft.rfft(np.eye(n))[:, :kept]).view(float)
-    return to_grid.reshape(2 * kept, n), to_modes
+def _dense_dft(n: int, kept: int, grid_mults, mode_mults):
+    """Real DFT matrices of an n-point grid, for row-vector products with the
+    interleaved real and imaginary parts of its half spectrum. `to_grid` maps
+    the first `kept` modes v to np.fft.irfft(v * m) for each m of
+    `grid_mults`, side by side; `to_modes` maps a stack of grids g, one per m
+    of `mode_mults`, to the sum of np.fft.rfft(g) * m over the whole half
+    spectrum. Their rows are the transforms of unit spectra and unit grids."""
+    modes = n // 2 + 1
+    unit = np.eye(kept, modes, dtype=complex)[:, None, None]
+    to_grid = np.fft.irfft(np.concatenate([unit, 1j * unit], axis=1)
+                           * np.reshape(grid_mults, (-1, modes)), n=n)
+    to_modes = np.fft.rfft(np.eye(n)) * np.reshape(mode_mults, (-1, 1, modes))
+    return to_grid.reshape(2 * kept, -1), to_modes.view(float).reshape(-1, 2 * modes)
+
+
+def _dense_rhs(model: DiscoveredModel, ks, mask, n: int):
+    """Right-hand side of a periodic 1D model on a `_dense_grid`, on the real
+    state: the interleaved real and imaginary parts of the half spectrum.
+
+    A term u^p u_x is a flux, as in `_spectral_term_rhs`. Every other term
+    u^p d is grouped by its derivative factor d (of one order, or none), so
+    the model is a sum of pieces P(u) d and one flux polynomial F(u), whose
+    derivative is taken spectrally. The plan is built once: `to_grid` maps
+    the kept modes to each factor and to u, with (i k)^o folded in;
+    `to_modes` maps the pieces and the flux back to the half spectrum, with
+    the dealias mask and, for the flux, i k folded in (`_dense_dft`); and the
+    coefficients of every polynomial form one matrix over the rows
+    u, u^2, ..., u^D, 1. A call is one product to the grid, the powers of u
+    by repeated products, one product for the polynomials, one for the
+    factors and one product back to a new state, zero above the mask."""
+    (k,), kept = ks, int(mask.sum())
+    polynomials = {}    # derivative order (0: no factor; None: the flux) -> {p: coefficient}
+    for t, c in zip(model.terms, model.coefficients):
+        p = sum(q for _, q in t.powers)
+        if _flux_axis(t) is not None:
+            key, p, c = None, p + 1, c / (p + 1)
+        else:
+            key = t.deriv[1][0] if t.deriv is not None else 0
+        polynomials.setdefault(key, {})[p] = float(c)
+    orders = sorted(o for o in polynomials if o)    # the factored pieces come first
+    keys = orders + [o for o in (0, None) if o in polynomials]
+    degree = max([1] + [p for poly in polynomials.values() for p in poly])
+    exponents = [*range(1, degree + 1), 0]
+    coefficients = np.reshape([[polynomials[o].get(p, 0.0) for p in exponents] for o in keys],
+                              (-1, degree + 1))
+    to_grid, to_modes = _dense_dft(n, kept, [(1j * k) ** o for o in orders + [0]],
+                                   [mask * (1j * k if o is None else 1) for o in keys])
+    to_modes = np.asfortranarray(to_modes)      # each output mode one contiguous dot
+    rows = np.empty((len(orders) + degree + 1, n))
+    rows[-1] = 1.0
+    factors, powers = rows[:len(orders)], rows[len(orders):]
+    u = powers[0]
+    grid = rows[:len(orders) + 1].reshape(-1)
+    steps = tuple(zip(powers[:degree - 1], powers[1:degree]))
+    values = np.empty((len(keys), n))
+    factored, flat, width = values[:len(orders)], values.reshape(-1), 2 * kept
+
+    def rhs(s):
+        np.dot(s[:width], to_grid, out=grid)
+        for lower, higher in steps:
+            np.multiply(lower, u, out=higher)
+        np.dot(coefficients, powers, out=values)
+        if orders:
+            np.multiply(factored, factors, out=factored)
+        return np.dot(flat, to_modes)
+
+    return rhs
 
 
 def _spectral_grid(space_axes):
@@ -344,8 +402,7 @@ def _spectral_term_rhs(models, ks, mask, shape):
     dealiased on the way to grid space by cutting the half-spectrum axis at
     the mask's last mode (the inverse transform zero-pads it, which is
     bit-identical to the mask there) and by the rest of the mask across the
-    other axes. On a `_dense_grid` the transforms between the kept modes and
-    the grid are the products with the `_dense_dft` matrices.
+    other axes. A `_dense_grid` steps on `_dense_rhs` instead.
     """
     kept = int(mask.reshape(-1, mask.shape[-1]).any(axis=0).sum())
     low = None if mask[..., :kept].all() else mask[..., :kept]
@@ -378,24 +435,8 @@ def _spectral_term_rhs(models, ks, mask, shape):
     degrees = power_degrees(evaluated)
     field_plans = [(f, degrees.get(f, 1), np.empty(shape)) for f in fields]
 
-    if _dense_grid(shape):
-        to_grid, to_modes = _dense_dft(shape[0], kept)
-        modes = np.empty(2 * kept)
-
-        def inverse(v, out):
-            return np.dot(v.view(float), to_grid, out=out)
-
-        def spectrum_times(g, mult):
-            out = np.zeros(mask.shape, dtype=complex)
-            np.multiply(np.dot(g, to_modes, out=modes).view(complex), mult[:kept],
-                        out=out[:kept])
-            return out
-    else:
-        forward, inverse = _transforms(shape)
-        spectrum = np.empty(mask.shape, dtype=complex)
-
-        def spectrum_times(g, mult):
-            return forward(g, out=spectrum) * mult
+    forward, inverse = _transforms(shape)
+    spectrum = np.empty(mask.shape, dtype=complex)
 
     def dealiased(v):
         v = v[..., :kept]
@@ -408,12 +449,13 @@ def _spectral_term_rhs(models, ks, mask, shape):
                   for key, (i, mult, grid) in deriv_mults.items()}
         outs = []
         for v, (local, flux_plans) in zip(vs, plans):
-            out = spectrum_times(_weighted_sum(local, powers, derivs), mask) if local else None
+            out = (forward(_weighted_sum(local, powers, derivs), out=spectrum) * mask
+                   if local else None)
             for mult, polynomials in flux_plans:
                 flux = _horner(polynomials[0], powers)
                 for polynomial in polynomials[1:]:
                     flux += _horner(polynomial, powers)
-                g = spectrum_times(flux, mult)
+                g = forward(flux, out=spectrum) * mult
                 out = g if out is None else out + g
             outs.append(np.zeros_like(v) if out is None else out)
         return outs
@@ -424,27 +466,33 @@ def _spectral_term_rhs(models, ks, mask, shape):
 def _spectral_plan(models, initial, space_axes, dt):
     """Pseudo-spectral integration of periodic fields by ETDRK4 on their even
     pure-derivative terms: the initial spectrum, the step, the per-output
-    screen and `to_fields`. One field steps on its spectrum; coupled fields
-    step as one stack of their spectra, under the stack of their symbols."""
+    screen and `to_fields`. One field steps on its spectrum, as a real state
+    on a `_dense_grid`; coupled fields step as one stack of their spectra,
+    under the stack of their symbols."""
     shape = tuple(a.count for a in space_axes)
     if len(shape) == 1 and len(models) != 1:
         raise DatasetError("1D integration expects a single model")
     ks, mask = _spectral_grid(space_axes)
     lins, rest = zip(*(_split_linear(m, ks) for m in models))
-    nonlin = _spectral_term_rhs(rest, ks, mask, shape)
     forward, inverse = _transforms(shape)
     spectra = [forward(initial[m.target_field]) for m in models]
-    if len(models) == 1:
-        lin, v0, step_rhs = lins[0], spectra[0], lambda v: nonlin([v])[0]
+    if _dense_grid(shape):
+        lin, v0, step_rhs = (np.repeat(lins[0], 2), spectra[0].view(float),
+                             _dense_rhs(rest[0], ks, mask, shape[0]))
     else:
-        lin, v0, step_rhs = (np.stack(lins), np.stack(spectra),
-                             lambda v: np.stack(nonlin(list(v))))
-    # 2 sum|v| / prod(n) bounds max|u| over the grid: a spectrum whose bound
-    # is within BLOWUP_LIMIT / 2 holds no slice that fails the blow-up check
+        nonlin = _spectral_term_rhs(rest, ks, mask, shape)
+        if len(models) == 1:
+            lin, v0, step_rhs = lins[0], spectra[0], lambda v: nonlin([v])[0]
+        else:
+            lin, v0, step_rhs = (np.stack(lins), np.stack(spectra),
+                                 lambda v: np.stack(nonlin(list(v))))
+    # 2 sum|v| / prod(n) bounds max|u| over the grid, and the sum over a real
+    # state is no smaller: a state whose bound is within BLOWUP_LIMIT / 2
+    # holds no slice that fails the blow-up check
     screen = 0.25 * BLOWUP_LIMIT * math.prod(shape)
 
     def to_fields(block):
-        u = inverse(block).reshape((len(block), -1) + shape)
+        u = inverse(block.view(complex)).reshape((len(block), -1) + shape)
         return tuple(np.moveaxis(u, 1, 0))
 
     return (v0, partial(Etdrk4(lin, dt).step, nonlin=step_rhs),

@@ -1,6 +1,8 @@
-"""The verdict rule of tools/bench_pairs.py on hand-made runs."""
+"""The verdict rule and the workload selection of tools/bench_pairs.py."""
 
-from tools.bench_pairs import verdict, wins
+import pytest
+
+from tools.bench_pairs import selected_workloads, verdict, wins
 
 PARENT = [10.0, 11.0, 12.0, 10.5, 11.5, 10.2, 11.8, 10.8, 11.2, 10.6]   # spread 18%
 
@@ -31,3 +33,11 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     skewed = [10.0, 10.1, 10.2, 10.3, 10.4, 20.0, 21.0, 22.0, 23.0, 24.0]
     assert verdict(skewed, [9.9] * 10, 0.24, "lower") == "same"
     assert verdict(skewed, [10.05] * 10, 0.24, "lower") == "unresolved"
+
+
+def test_every_workload_in_file_order_unless_one_is_named():
+    benchmark = {"workloads": [{"name": "ks-pipeline"}, {"name": "kdv-study"}, {"name": "b"}]}
+    assert selected_workloads(benchmark, None) == ["ks-pipeline", "kdv-study", "b"]
+    assert selected_workloads(benchmark, "kdv-study") == ["kdv-study"]
+    with pytest.raises(ValueError, match="unknown workload 'rd2d'"):
+        selected_workloads(benchmark, "rd2d")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bgsindy import Axis, Dataset, DatasetError
+from bgsindy import Axis, Dataset, DatasetError, differentiation
 from bgsindy.differentiation import (axis_spectrum, bump_filter, bump_kernel,
                                      central_weights, corner_half_width, fd_diff,
                                      fornberg_weights, sg_smooth, spectral_diff,
@@ -203,6 +203,19 @@ class TestTimeDerivative:
             Dataset((Axis(0, 0.1, 8),), Axis(0, 0.1, 3),
                     {"u": np.zeros((8, 3))}, {"u": "periodic"})
 
+    def test_samples_gathered_only_where_cheaper(self):
+        cheaper = differentiation._gather_cheaper
+        # the default recipes' grid-local samples: modified KS (128 x 50001),
+        # burgers-hyper (4048 x 1001) and rd2d (256 x 256 x 101), 100k each
+        for grid_points in (128 * 50_001, 4048 * 1001, 256 * 256 * 101):
+            assert cheaper(100_000, grid_points)
+        # KdV's 260 x 3001 grid: from a sixth of it up to every point, the
+        # full grid is cheaper
+        kdv = 260 * 3001
+        assert cheaper(kdv // 8, kdv)
+        for n_points in (kdv // 6 + 1, kdv // 2, kdv - 1, kdv):
+            assert not cheaper(n_points, kdv)
+
     @pytest.mark.parametrize("accuracy", [2, 4])
     @pytest.mark.parametrize("space", [(24,), (12, 10)])
     def test_at_samples_equals_full_grid_bit_for_bit(self, rng, space, accuracy):
@@ -216,8 +229,9 @@ class TestTimeDerivative:
         grid = np.arange(ds.total_points).reshape(ds.shape)
         lines = grid.reshape(-1, m)[rng.choice(grid.size // m, 5, replace=False)]
         indices = np.concatenate([lines[:, [0, 1, m - 2, m - 1]].ravel(),
-                                  rng.choice(ds.total_points, ds.total_points // 3,
+                                  rng.choice(ds.total_points, ds.total_points // 8,
                                              replace=False)])
+        assert differentiation._gather_cheaper(indices.size, ds.total_points)
         for f in fields:
             full = time_derivative(ds, f, accuracy)
             assert np.array_equal(time_derivative(ds, f, accuracy, indices),

@@ -11,11 +11,11 @@ from scipy.integrate import solve_ivp
 
 import bgsindy
 from bgsindy import (Axis, Dataset, DatasetError, DiscoveredModel, SolverInstability,
-                     TermDescriptor, integrate_model, relative_l2)
+                     TermDescriptor, integrate_model, relative_l2, simulate)
 from bgsindy.benchmarks import discovery_recipe
 from bgsindy.differentiation import central_weights, fornberg_weights
 from bgsindy.simulate import (BLOWUP_LIMIT, Etdrk4, default_config, generate_benchmark,
-                              reference_model, _dense_dft, _dense_grid, _fd_rhs,
+                              reference_model, _dense_dft, _dense_grid, _dense_rhs, _fd_rhs,
                               _fd_stability_step, _integrate, _spectral_grid,
                               _spectral_term_rhs)
 
@@ -523,19 +523,27 @@ def power_formula_rhs(models, ks, mask, shapes, spectra):
     return outs
 
 
+def one_field_rhs(model, ks, mask, n, v):
+    """The right-hand side of a 1D model at the spectrum v, by the grid's own
+    plan: on a `_dense_grid`, `_dense_rhs` on v's real state."""
+    if _dense_grid((n,)):
+        return _dense_rhs(model, ks, mask, n)(v.view(float)).view(complex)
+    return _spectral_term_rhs([model], ks, mask, (n,))([v])[0]
+
+
 class TestMultiplyOnlyPowers:
     """Powers by repeated products against the `**` formulas, on random fields."""
 
     def test_spectral_rhs_1d_powers_to_6_orders_1_to_4(self, rng):
-        n = 64
+        n = 64      # a dense grid: its right-hand side on the real state
         ks, mask = _spectral_grid((Axis(0.0, 22.0 / n, n),))
         terms = [TermDescriptor((("u", p),), ("u", (o,)))
                  for p in range(7) for o in range(1, 5)]
         model = DiscoveredModel(tuple(terms), rng.standard_normal(len(terms)), "u", 0.0)
         v = np.fft.rfft(rng.uniform(-1.5, 1.5, n))
-        got = _spectral_term_rhs([model], ks, mask, (n,))([v])
+        got = one_field_rhs(model, ks, mask, n, v)
         ref = power_formula_rhs([model], ks, mask, (n,), [v])
-        assert_close_to_scale(got[0], ref[0])
+        assert_close_to_scale(got, ref[0])
 
     def test_spectral_rhs_coupled_rd2d(self, rng):
         nx, ny = 32, 24
@@ -570,14 +578,19 @@ class TestLeanSpectralStep:
 
     @pytest.mark.parametrize("n", [64, 127, 128])
     def test_dense_pair_matches_numpy_fft(self, rng, n):
-        _, mask = _spectral_grid((Axis(0.0, 1.0 / n, n),))
+        # the plain pair on the kept modes, and the pair with a derivative
+        # multiplier folded into each side
+        (k,), mask = _spectral_grid((Axis(0.0, 1.0 / n, n),))
         kept = int(mask.sum())
-        to_grid, to_modes = _dense_dft(n, kept)
-        for _ in range(5):
-            v = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
-            assert_close_to_scale(v.view(float) @ to_grid, np.fft.irfft(v, n=n), 1e-14)
-            u = rng.standard_normal(n)
-            assert_close_to_scale((u @ to_modes).view(complex), np.fft.rfft(u)[:kept], 1e-14)
+        for mult in (np.ones(k.size), (1j * k) ** 3):
+            to_grid, to_modes = _dense_dft(n, kept, [mult], [mult * mask])
+            for _ in range(5):
+                v = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
+                assert_close_to_scale(v.view(float) @ to_grid,
+                                      np.fft.irfft(v * mult[:kept], n=n), 1e-14)
+                u = rng.standard_normal(n)
+                assert_close_to_scale((u @ to_modes).view(complex),
+                                      np.fft.rfft(u) * mult * mask, 1e-14)
 
     def test_dense_only_on_small_1d_grids(self):
         assert _dense_grid(default_config("modified-ks").counts)
@@ -592,9 +605,56 @@ class TestLeanSpectralStep:
         model = DiscoveredModel((_flux("u", 1), _flux("u", 4), TermDescriptor((), ("u", (3,)))),
                                 np.array([-1.0, 0.3, 0.05]), "u", 0.0)
         v = np.fft.rfft(rng.uniform(-1.5, 1.5, n))
-        got = _spectral_term_rhs([model], ks, mask, (n,))([v])
+        got = one_field_rhs(model, ks, mask, n, v)
         ref = power_formula_rhs([model], ks, mask, (n,), [v])
-        assert_close_to_scale(got[0], ref[0])
+        assert_close_to_scale(got, ref[0])
+
+    def test_dense_rhs_of_every_term_kind(self, rng):
+        # a constant, powers, fluxes, a bare u_x and derivative factors with
+        # and without powers; modes above the mask come back zero, and an
+        # input that differs only there gives the same state
+        n = 64
+        ks, mask = _spectral_grid((Axis(0.0, 22.0 / n, n),))
+        model = DiscoveredModel(
+            (TermDescriptor(()), TermDescriptor((("u", 3),)), _flux("u", 1), _flux("u", 2),
+             TermDescriptor((), ("u", (1,))), TermDescriptor((), ("u", (3,))),
+             TermDescriptor((("u", 2),), ("u", (3,))), TermDescriptor((("u", 1),), ("u", (2,)))),
+            rng.standard_normal(8), "u", 0.0)
+        v = np.fft.rfft(rng.uniform(-1.5, 1.5, n))
+        rhs = _dense_rhs(model, ks, mask, n)
+        got = rhs(v.view(float))
+        assert_close_to_scale(got.view(complex), power_formula_rhs([model], ks, mask, (n,), [v])[0])
+        assert not got.view(complex)[~mask].any()
+        w = v.copy()
+        w[~mask] = rng.standard_normal((~mask).sum())
+        assert np.array_equal(rhs(w.view(float)), got)
+        # a model of linear terms only has no pieces: its right-hand side is 0
+        linear = DiscoveredModel((), np.array([]), "u", 0.0)
+        assert np.array_equal(_dense_rhs(linear, ks, mask, n)(v.view(float)), np.zeros(2 * v.size))
+
+    def test_dense_steps_match_the_fft_plan(self, monkeypatch):
+        # whole steps of a bounded model with fluxes, a non-flux derivative
+        # term and local power terms: the dense plan against the FFT plan on
+        # the same 64-point grid
+        n, dt, count = 64, 0.01, 301
+        axis = Axis(0.0, 22.0 / n, n)
+        x = axis.points()
+        u0 = np.cos(6 * np.pi * x / 22.0) - 0.5 * np.sin(2 * np.pi * x / 22.0)
+        model = DiscoveredModel(
+            (_flux("u", 1), _flux("u", 4), TermDescriptor((), ("u", (3,))),
+             TermDescriptor((), ("u", (2,))), TermDescriptor((), ("u", (4,))),
+             TermDescriptor((("u", 3),)), TermDescriptor((("u", 2),), ("u", (2,)))),
+            np.array([-1.0, 0.3, 0.05, -1.0, -1.0, -0.1, 0.02]), "u", 0.0)
+        runs = []
+        for max_points in (simulate.DENSE_DFT_MAX_POINTS, 0):
+            monkeypatch.setattr(simulate, "DENSE_DFT_MAX_POINTS", max_points)
+            assert _dense_grid((n,)) == (max_points >= n)
+            out, _ = _integrate([model], {"u": u0}, (axis,), Axis(0.0, dt, count),
+                                {"u": "periodic"}, dt)
+            runs.append(out["u"])
+        dense, fft = runs
+        assert 0.5 < np.abs(fft).max() < 10.0
+        assert_close_to_scale(dense, fft, 1e-12)
 
     def test_coupled_2d_fluxes_of_two_fields(self, rng):
         # the u model's fluxes along x read u and v and are summed before

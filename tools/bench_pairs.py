@@ -1,13 +1,14 @@
 """Alternating benchmark pairs of two checkouts, and a verdict per metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--seed S] [--pairs N]
+    python3 tools/bench_pairs.py PARENT CHANGE [--workload W] [--seed S] [--pairs N]
 
 Runs `python3 perfbench/run.py --workload W --seed S` in the checkout PARENT
 and in the checkout CHANGE, N times each (default 10), alternating which
-side runs first. For every end-to-end metric of BENCHMARK.json (read from
-PARENT) it prints each run's value, each side's median and quartiles, the
-pairs the change won, and a verdict (`verdict`). It exits 1 if any run was
-not correct or had failed ops.
+side runs first. Without --workload it does so for every workload of
+BENCHMARK.json (read from PARENT), in file order. For every end-to-end
+metric of BENCHMARK.json it prints, in one block per workload, each run's
+value, each side's median and quartiles, the pairs the change won, and a
+verdict (`verdict`). It exits 1 if any run was not correct or had failed ops.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
     return "same"
 
 
+def selected_workloads(benchmark: dict, workload: str | None) -> list[str]:
+    """The workloads to run: the one named, or every workload of the
+    BENCHMARK.json object, in file order. An unknown name raises ValueError."""
+    names = [w["name"] for w in benchmark["workloads"]]
+    if workload is None:
+        return names
+    if workload not in names:
+        raise ValueError(f"unknown workload {workload!r}; BENCHMARK.json has {names}")
+    return [workload]
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result line of one perfbench run in the checkout."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -70,34 +82,22 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
-
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+def run_pairs(sides: dict, metrics: list, workload: str, seed: int, pairs: int) -> list[str]:
+    """Runs and prints one workload's block; returns its bad runs."""
     results = {side: [] for side in sides}
     bad = []
-    for i in range(args.pairs):
+    for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed)
+            result = run_once(sides[side], workload, seed)
             results[side].append(result)
             if not result["correct"] or result["failed"]:
-                bad.append(f"pair {i + 1} {side}: correct={result['correct']} "
+                bad.append(f"{workload} pair {i + 1} {side}: correct={result['correct']} "
                            f"failed={result['failed']}")
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr,
+        print(f"{workload} pair {i + 1}/{pairs} done ({order[0]} first)", file=sys.stderr,
               flush=True)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs "
-          f"(odd pairs run the parent first)")
+    print(f"{workload} seed {seed}, {pairs} pairs (odd pairs run the parent first)")
     for m in metrics:
         name = m["name"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]]
@@ -115,6 +115,30 @@ def main(argv=None) -> int:
               f"parent spread {spread(p):.1%}; {verdict(p, c, m['bound'], m['better'])}")
         for side, vs in values.items():
             print(f"  {side}: {', '.join(f'{v:.4g}' for v in vs)}")
+    print(flush=True)
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", help="one workload (default: every workload)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    try:
+        workloads = selected_workloads(benchmark, args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    bad = []
+    for workload in workloads:
+        bad += run_pairs(sides, benchmark["end_to_end"], workload, args.seed, args.pairs)
     for line in bad:
         print(f"bad run: {line}")
     return 1 if bad else 0
