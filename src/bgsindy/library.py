@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import Dataset, DatasetError, SampleSet, check_entry, json_entry
 from .differentiation import (axis_spectrum, bump_filter, corner_half_width, fd_diff,
@@ -403,6 +402,7 @@ def reduce_independent(library: Library) -> Library:
     as dependent; the numerical rank is cross-checked against the SVD of the
     full matrix.
     """
+    import scipy.linalg  # loaded at the first factorization, not with the package
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
     # "raw" mode returns R as the top M x M block alone, not an N-row triu;

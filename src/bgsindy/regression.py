@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import DatasetError
 
@@ -42,6 +41,7 @@ def compress(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in-place "raw" QR of a column-major copy, so Q is never formed. An LS
     solve on columns of R, with or without ridge rows, has the solution of
     the tall one up to round-off."""
+    import scipy.linalg  # loaded at the first factorization, not with the package
     n, m = phi.shape
     aug = np.empty((n, m + 1), order="F")
     aug[:, :m] = phi

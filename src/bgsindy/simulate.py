@@ -35,10 +35,11 @@ from .library import TermDescriptor, power_degrees, power_table, power_tables
 
 BLOWUP_LIMIT = 1e6
 N_CONTOUR = 64          # contour points per ETDRK4 coefficient
-# 1D grids of up to this many points step on `_dense_rhs`. The limit is where
-# an earlier complex-state dense step stopped beating numpy's FFT (224
-# points); the real-state step still beats the FFT plan at 256
-DENSE_DFT_MAX_POINTS = 192
+# 1D grids of up to this many points step on `_dense_rhs`. The limit is the
+# crossover with the FFT plan: on modified KS (2 BLAS threads) a step took
+# 67-72 against 92-102 us at 224 points, 74-100 against 88-99 at 256 and
+# 102-131 against 87-107 at 320
+DENSE_DFT_MAX_POINTS = 256
 # output spectra (or grids) held per batched inverse transform and copy
 OUTPUT_BLOCK_BYTES = 1 << 20
 

@@ -98,32 +98,55 @@ def tall_ridge(x, y, lam):
                            np.concatenate([y, np.zeros(k)]), rcond=None)[0]
 
 
+def assert_refit_of_its_support(lib, model):
+    """The model's coefficients and residual are the tall least-squares fit
+    of its own terms, up to round-off (the residual's relative to the
+    target's mean square, as a near-exact fit leaves only round-off)."""
+    cols = [lib.terms.index(t) for t in model.terms]
+    fit = least_squares(lib.matrix[:, cols], lib.target)
+    assert np.allclose(model.coefficients, fit.coefficients, rtol=1e-10, atol=0)
+    y = lib.target
+    assert abs(model.residual - fit.residual) <= 1e-12 * (y @ y) / y.size
+
+
 class TestSingleLeastSquaresPath:
     @pytest.fixture()
     def counts(self, monkeypatch):
-        calls = {"least_squares": 0, "lstsq": 0}
+        """Calls of the tall solvers, and the row count of every _svd_solve."""
+        calls = {"least_squares": 0, "lstsq": 0, "svd_solve_rows": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
+        solve = baselines._svd_solve
+
+        def svd_solve(phi, y):
+            calls["svd_solve_rows"].append(phi.shape[0])
+            return solve(phi, y)
         monkeypatch.setattr(baselines, "least_squares",
                             counted("least_squares", baselines.least_squares))
         monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(baselines, "_svd_solve", svd_solve)
         return calls
 
     def test_stlsq_refits_once_and_never_calls_lstsq(self, counts):
         lib, _ = synthetic_library(n=1000, m=8, k_true=3, noise=1e-4, seed=9)
         model = stlsq(lib, threshold=0.5)
         assert 0 < len(model.terms) < lib.n_terms
-        assert counts == {"least_squares": 1, "lstsq": 0}
+        assert (counts["least_squares"], counts["lstsq"]) == (0, 0)
+        assert max(counts["svd_solve_rows"]) == lib.n_terms
+        assert_refit_of_its_support(lib, model)
 
     def test_train_stridge_refits_once_and_never_calls_lstsq(self, counts):
         lib, _ = synthetic_library(n=2000, m=8, k_true=3, noise=1e-8, seed=12)
         model = train_stridge(lib, lam=1e-7, seed=0)
         assert 0 < len(model.terms) < lib.n_terms
-        assert counts == {"least_squares": 1, "lstsq": 0}
+        assert (counts["least_squares"], counts["lstsq"]) == (0, 0)
+        # the ridge solves stack sqrt(lam) I under R
+        assert max(counts["svd_solve_rows"]) == 2 * lib.n_terms
+        assert_refit_of_its_support(lib, model)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-5, 1e-2])
     def test_compressed_ridge_matches_tall_ridge(self, lam):

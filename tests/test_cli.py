@@ -444,3 +444,25 @@ class TestImport:
                               cwd=Path(bgsindy.__file__).resolve().parents[1])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_scipy_linalg_loads_only_with_the_first_factorization(self):
+        script = """
+import sys
+from dataclasses import replace
+import bgsindy, bgsindy.cli
+from bgsindy import benchmarks, simulate
+print("scipy.linalg" in sys.modules)
+config = replace(simulate.default_config("modified-ks"), t_final=2.0)
+data = simulate.generate_benchmark("modified-ks", config)
+simulate.integrate_model(simulate.reference_model("modified-ks"), data)
+print("scipy.linalg" in sys.modules)
+recipe = benchmarks.discovery_recipe("modified-ks")
+recipe["library"].update(poly_degree=2, deriv_order=3)
+recipe["sample"]["n"] = 2000
+benchmarks.run_discovery(data, recipe)
+print("scipy.linalg" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=Path(bgsindy.__file__).resolve().parents[1])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "True"]

@@ -240,13 +240,15 @@ class TestModifiedKs:
         assert abs(e_coarse - e_fine) / e_fine < 0.05
 
     def test_data_independent_of_blas_threads(self):
-        # the 128-point grid transforms by matrix products inside the
+        # the 128- and 256-point grids transform by matrix products inside the
         # integrator, so BLAS runs there; its thread count must not move a bit
+        assert _dense_grid((256,))
         script = ("import hashlib; from dataclasses import replace; "
                   "from bgsindy.simulate import default_config, generate_benchmark; "
-                  "c = replace(default_config('modified-ks'), t_final=2.0); "
-                  "d = generate_benchmark('modified-ks', c); "
-                  "print(hashlib.sha256(d.fields['u'].tobytes()).hexdigest())")
+                  "c = replace(default_config('modified-ks'), t_final=2.0)\n"
+                  "for n in (128, 256):\n"
+                  "    d = generate_benchmark('modified-ks', replace(c, counts=(n,)))\n"
+                  "    print(hashlib.sha256(d.fields['u'].tobytes()).hexdigest())")
         digests = []
         for threads in ("1", "2"):
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -8,7 +8,10 @@ side runs first. Without --workload it does so for every workload of
 BENCHMARK.json (read from PARENT), in file order. For every end-to-end
 metric of BENCHMARK.json it prints, in one block per workload, each run's
 value, each side's median and quartiles, the pairs the change won, and a
-verdict (`verdict`). It exits 1 if any run was not correct or had failed ops.
+verdict (`verdict`). A run that exits non-zero or ends on a line that is not
+a JSON object is a bad run: it is recorded with its exit code and last
+stderr line, its pair is left out of the metrics, and the other runs go on.
+It exits 1 if any run was bad, not correct or had failed ops.
 """
 
 from __future__ import annotations
@@ -74,33 +77,53 @@ def selected_workloads(benchmark: dict, workload: str | None) -> list[str]:
     return [workload]
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """The result line of one perfbench run in the checkout."""
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict | None, str]:
+    """The result line of one perfbench run in the checkout and "", or None
+    and why the run is bad: its exit code and last stderr line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed)], cwd=checkout, capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+                          text=True)
+    stderr = proc.stderr.strip().splitlines()
+    why = f"exit {proc.returncode}, last stderr line {stderr[-1] if stderr else ''!r}"
+    if proc.returncode != 0:
+        return None, why
+    stdout = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(stdout[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict):
+        return None, f"no JSON result line, {why}"
+    return result, ""
 
 
 def run_pairs(sides: dict, metrics: list, workload: str, seed: int, pairs: int) -> list[str]:
-    """Runs and prints one workload's block; returns its bad runs."""
+    """Runs and prints one workload's block; returns its bad runs. The metrics
+    read the pairs in which both sides gave a result line."""
     results = {side: [] for side in sides}
     bad = []
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], workload, seed)
+            result, why = run_once(sides[side], workload, seed)
             results[side].append(result)
-            if not result["correct"] or result["failed"]:
-                bad.append(f"{workload} pair {i + 1} {side}: correct={result['correct']} "
-                           f"failed={result['failed']}")
+            if result is None:
+                bad.append(f"{workload} pair {i + 1} {side}: {why}")
+            elif not result.get("correct") or result.get("failed"):
+                bad.append(f"{workload} pair {i + 1} {side}: correct={result.get('correct')} "
+                           f"failed={result.get('failed')}")
         print(f"{workload} pair {i + 1}/{pairs} done ({order[0]} first)", file=sys.stderr,
               flush=True)
 
-    print(f"{workload} seed {seed}, {pairs} pairs (odd pairs run the parent first)")
+    both = [i for i in range(pairs) if all(results[side][i] is not None for side in sides)]
+    print(f"{workload} seed {seed}, {len(both)} of {pairs} pairs complete "
+          "(odd pairs run the parent first)")
     for m in metrics:
         name = m["name"]
-        values = {side: [r["metrics"][name]["value"] for r in results[side]]
+        if len(both) < 2:
+            print(f"{name}: fewer than 2 complete pairs")
+            continue
+        values = {side: [results[side][i]["metrics"][name]["value"] for i in both]
                   for side in sides}
         if any(v is None for vs in values.values() for v in vs):
             print(f"{name}: missing values {values}")
