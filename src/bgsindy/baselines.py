@@ -1,10 +1,10 @@
 """Coefficient-thresholding baselines: sequential thresholded least squares
 and train/validation sequential thresholded ridge regression. Every solve
-runs on one compression of the data: STLSQ reads the library's own
+runs on a compression of the data: STLSQ reads the library's own
 (`Library.compressed`, shared with the pruner and with every other STLSQ
 fit of that library); TrainSTRidge compresses its training split once, and
-its held-out score stays a tall product. Both refit their final support on
-the library's own compression."""
+its held-out score stays a tall product. Each refits its final support, and
+scores its residual, on a compression of all the data."""
 
 from __future__ import annotations
 
@@ -13,20 +13,21 @@ import numpy as np
 from .core import DatasetError, DiscoveredModel
 from .library import Library
 # least_squares is not called here; perfbench's tracer wraps it by this name
-from .regression import _svd_solve, compress, least_squares
+from .regression import _compressed_residual, _svd_solve, compress, least_squares
 
 
-def _model_from_active(library: Library, active: list[int]) -> DiscoveredModel:
-    """The least-squares refit of the active terms, solved on the library's R
-    (`Library.compressed`). The residual is the tall misfit of the whole
-    matrix at the zero-filled coefficients, so no N x k copy is made."""
-    xi = np.zeros(library.n_terms)
-    if active:
-        r, qty = library.compressed
-        xi[active] = _svd_solve(r[:, active], qty)[0]
-    misfit = library.matrix @ xi - library.target
-    return DiscoveredModel(tuple(library.terms[j] for j in active), xi[active],
-                           library.target_field, float(misfit @ misfit) / misfit.size)
+def _model_from_active(library: Library, active: list[int],
+                       compressed: tuple[np.ndarray, np.ndarray, float]) -> DiscoveredModel:
+    """The least-squares refit of the active terms, solved on the R, Q^T y
+    and rho of all the library's data (`regression.compress`). The residual
+    is read from the same factor (`_compressed_residual`), so no N-row misfit
+    is formed."""
+    r, qty, rho = compressed
+    r_active = r[:, active]
+    xi = _svd_solve(r_active, qty)[0] if active else np.zeros(0)
+    return DiscoveredModel(tuple(library.terms[j] for j in active), xi,
+                           library.target_field,
+                           _compressed_residual(r_active, qty, rho, xi, library.n_samples))
 
 
 def stlsq(library: Library, threshold: float = 0.1, max_iter: int = 25) -> DiscoveredModel:
@@ -39,14 +40,14 @@ def stlsq(library: Library, threshold: float = 0.1, max_iter: int = 25) -> Disco
         raise DatasetError("threshold must be >= 0")
     if max_iter < 1:
         raise DatasetError("max_iter must be >= 1")
-    r, qty = library.compressed
+    r, qty, _ = library.compressed
     active = list(range(library.n_terms))
     for _ in range(max_iter):
         keep = np.abs(_svd_solve(r[:, active], qty)[0]) >= threshold
         active = [a for a, k in zip(active, keep) if k]
         if keep.all() or not active:
             break
-    return _model_from_active(library, active)
+    return _model_from_active(library, active, library.compressed)
 
 
 def _ridge(r: np.ndarray, qty: np.ndarray, lam: float) -> np.ndarray:
@@ -85,7 +86,9 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
     score is the held-out squared misfit, a tall product, plus an l0 penalty
     per active term (default 1e-3 times cond(R), the training matrix's). The
     winning support is refit by plain least squares on all data, solved on
-    the library's R.
+    the R of the training split's factor of [phi | y] stacked on the held-out
+    rows: that stack has the Gram matrix of all the data, and about 0.2 N
+    rows, so the whole library is not factored again.
     Thresholds act on raw coefficients, so terms whose true
     coefficients sit below the explored thresholds are discarded.
     """
@@ -100,7 +103,7 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
     perm = rng.permutation(n)
     n_train = int(round(split * n))
     train, test = perm[:n_train], perm[n_train:]
-    r, qty = compress(library.matrix[train], library.target[train])
+    r, qty, rho = compress(library.matrix[train], library.target[train])
     x_te, y_te = library.matrix[test], library.target[test]
 
     if l0_penalty is None:
@@ -127,4 +130,6 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
             tol = tol + d_tol
 
     active = [j for j in range(library.n_terms) if w_best[j] != 0.0]
-    return _model_from_active(library, active)
+    stacked = np.vstack([r, np.zeros((1, library.n_terms)), x_te])
+    return _model_from_active(library, active,
+                              compress(stacked, np.concatenate([qty, [rho], y_te])))

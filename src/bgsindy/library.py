@@ -168,10 +168,10 @@ class Library:
     """Evaluated candidate terms at the samples, and the target there.
 
     `matrix` and `target` are never written once the library is built:
-    `compressed` is taken from them once, on first use, and every least-
-    squares consumer of the library (the pruner, STLSQ) solves on it. A
-    library from `dataclasses.replace` or `reduce_independent` is a new
-    object and compresses afresh.
+    `compressed` is taken from them once, on first use, and the pruner and
+    STLSQ solve and score their residuals on it. A library from
+    `dataclasses.replace` or `reduce_independent` is a new object and
+    compresses afresh.
     """
     terms: tuple[TermDescriptor, ...]
     # N x M, column-major: each tall factorization (the pivoted QR and SVD
@@ -193,9 +193,9 @@ class Library:
             raise DatasetError("library contains non-finite entries")
 
     @cached_property
-    def compressed(self) -> tuple[np.ndarray, np.ndarray]:
-        """R and Q^T y of matrix = QR (`regression.compress`): M x M and M,
-        so the cache holds no N-row array."""
+    def compressed(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """R, Q^T y and rho of matrix = QR (`regression.compress`): M x M, M
+        and a scalar, so the cache holds no N-row array."""
         return compress(self.matrix, self.target)
 
     @property

@@ -8,9 +8,10 @@ residual ratio first exceeds tau.
 The score depends on the library only through |phi|, so it is computed from
 |phi| stored as one contiguous row per library column: a running maximum over
 the active rows gives one N-vector of row weights, and each term's score is
-one dot product with it. The misfit is one product of the library itself with
-the coefficients zero-filled at every dropped term. So pruning keeps one
-N x K array beside the library, |phi|, and forms no N x K product.
+one dot product with it. The residual is read from the library's
+compression (`Library.compressed`): ||phi xi - y||^2 = ||R xi - Q^T y||^2 +
+rho^2, which is K x K work. So pruning keeps one N x K array beside the
+library, |phi|, forms no N x K product, and reads no signed N-row array.
 
 The running maximum reads only the terms that can set it. Each active term
 has the bound b_j = max_i |phi_ij| |xi_j|, from column maxima taken once per
@@ -32,7 +33,7 @@ import numpy as np
 
 from .core import DatasetError, DiscoveredModel, PruneIteration, PruneTrace
 from .library import Library
-from .regression import _svd_solve
+from .regression import _compressed_residual, _svd_solve
 
 RES_FLOOR = 1e-30
 DOT_BLOCK = 16384       # rows per partial sum of an importance dot product
@@ -137,23 +138,20 @@ def _argmin_with_tie_break(W: np.ndarray) -> int:
 class _ActiveSystem:
     """The LS refits and scores of active subsets of a library's columns.
 
-    The library is never copied or written. |phi| is kept once, as K x N
-    with one contiguous row per library column, in library order, with the
-    maximum of each row: the importances are read from them (`_row_weights`,
-    `_global_importance`).
-    The misfit is `library.matrix @ xi_full - y`, with xi_full zero at every
-    dropped term, so no signed working copy is kept either. Refits solve on
-    the library's M x M system (`Library.compressed`), read before |phi| is
-    taken, so a first compression's [phi | y] buffer is freed by then.
-    Residuals are always evaluated directly on the full data; the compressed
-    form condenses large-magnitude rows and wobbles at the round-off floor.
+    The library is never copied or written, and is not held. |phi| is kept
+    once, as K x N with one contiguous row per library column, in library
+    order, with the maximum of each row: the importances are read from them
+    (`_row_weights`, `_global_importance`). Refits and residuals use the
+    library's M x M system (`Library.compressed`), read before |phi| is
+    taken, so a first compression's [phi | y] buffer is freed by then. The
+    residual is read from R, Q^T y and rho (`_compressed_residual`), so no
+    signed N-row array is kept or formed.
     """
 
     def __init__(self, library: Library):
-        self.r, self.qty = library.compressed
-        self.phi = library.matrix
-        self.y = library.target
-        self.absphi = np.abs(self.phi.T, order="C")
+        self.r, self.qty, self.rho = library.compressed
+        self.n = library.n_samples
+        self.absphi = np.abs(library.matrix.T, order="C")
         self.colmax = self.absphi.max(axis=1)
 
     def fit(self, active: list[int]) -> np.ndarray:
@@ -162,12 +160,9 @@ class _ActiveSystem:
     def score(self, active: list[int], xi: np.ndarray,
               epsilon_rel: float) -> tuple[float, np.ndarray]:
         """Residual and global importances of the active set at xi."""
-        xi_full = np.zeros(self.phi.shape[1])
-        xi_full[active] = xi
-        misfit = self.phi @ xi_full - self.y
         absxi = np.abs(xi)
         r = _row_weights(self.absphi, self.colmax, active, absxi, epsilon_rel)
-        return (float(misfit @ misfit) / misfit.size,
+        return (_compressed_residual(self.r[:, active], self.qty, self.rho, xi, self.n),
                 _global_importance(self.absphi, active, absxi, r))
 
 

@@ -36,18 +36,32 @@ def _svd_solve(phi: np.ndarray, u_t: np.ndarray) -> tuple[np.ndarray, int]:
     return (vt.T @ (inv * (u.T @ u_t))) / scale, rank
 
 
-def compress(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R and Q^T y of phi = QR: the top of the R factor of [phi | y], from an
+def compress(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """R, Q^T y and rho of phi = QR: the R factor of [phi | y], from an
     in-place "raw" QR of a column-major copy, so Q is never formed. An LS
     solve on columns of R, with or without ridge rows, has the solution of
-    the tall one up to round-off."""
+    the tall one up to round-off.
+
+    rho is the factor's last diagonal entry, and rho^2 the part of ||y||^2
+    outside the span of phi, so for any xi
+    ||phi xi - y||^2 = ||R xi - Q^T y||^2 + rho^2
+    (Golub & Van Loan, Matrix Computations, sec. 5.3). With N <= M the
+    factor has no row M, and rho is 0."""
     import scipy.linalg  # loaded at the first factorization, not with the package
     n, m = phi.shape
     aug = np.empty((n, m + 1), order="F")
     aug[:, :m] = phi
     aug[:, m] = y
     top = scipy.linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
-    return top[:m, :m], top[:m, m]
+    return top[:m, :m], top[:m, m], float(top[m, m]) if n > m else 0.0
+
+
+def _compressed_residual(r: np.ndarray, qty: np.ndarray, rho: float, xi: np.ndarray,
+                         n: int) -> float:
+    """(1/N) ||phi xi - y||^2 from the R columns of phi's terms and the Q^T y
+    and rho of the same factor (`compress`), with K x K work."""
+    misfit = r @ xi - qty
+    return (float(misfit @ misfit) + rho * rho) / n
 
 
 def least_squares(phi_active: np.ndarray, u_t: np.ndarray) -> FitResult:

@@ -153,7 +153,7 @@ class TestSingleLeastSquaresPath:
         lib = wide_scale_library()
         norms = np.linalg.norm(lib.matrix, axis=0)
         assert norms.max() / norms.min() > 1e6
-        r, qty = compress(lib.matrix, lib.target)
+        r, qty, _ = compress(lib.matrix, lib.target)
         for cols in (np.arange(lib.n_terms), np.array([0, 2, 5, 7])):
             ref = tall_ridge(lib.matrix[:, cols], lib.target, lam)
             w = _ridge(r[:, cols], qty, lam)
@@ -161,14 +161,14 @@ class TestSingleLeastSquaresPath:
 
     def test_condition_number_read_from_r(self):
         lib = wide_scale_library()
-        r, _ = compress(lib.matrix, lib.target)
+        r, _, _ = compress(lib.matrix, lib.target)
         cond = np.linalg.cond(lib.matrix)
         assert cond > 1e6
         assert abs(np.linalg.cond(r) - cond) <= 1e-8 * cond
 
     def test_nothing_above_tolerance_returns_zeros(self):
         lib, _ = synthetic_library(n=500, m=6, k_true=3, noise=1e-3, seed=5)
-        r, qty = compress(lib.matrix, lib.target)
+        r, qty, _ = compress(lib.matrix, lib.target)
         for iters in (0, 3):
             assert not _stridge(r, qty, 1e-5, iters, 1e9).any()
 
@@ -188,3 +188,20 @@ class TestOneCompressionPerLibrary:
         for threshold in (1e-1, 1e-2, 1e-3):
             stlsq(lib, threshold)
         assert tall == [(lib.n_samples, lib.n_terms + 1)]
+
+    def test_train_stridge_factors_no_n_row_matrix(self, monkeypatch):
+        # the final refit stacks the training split's factor of [phi | y] on
+        # the held-out rows, and leaves the library's own compression untaken
+        lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
+        rows = []
+        qr = scipy.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return qr(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "qr", counted)
+        model = train_stridge(lib, seed=0)
+        n_train = round(0.8 * lib.n_samples)
+        assert rows == [n_train, lib.n_samples - n_train + lib.n_terms + 1]
+        assert "compressed" not in vars(lib)
+        assert_refit_of_its_support(lib, model)

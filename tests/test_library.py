@@ -493,7 +493,7 @@ class TestReduceIndependent:
 class TestCompressed:
     def test_taken_once_and_holds_no_n_row_array(self):
         lib = random_library(n=300, m=6)
-        r, qty = lib.compressed
+        r, qty, _ = lib.compressed
         assert lib.compressed[0] is r and lib.compressed[1] is qty
         # views of the (M + 1) x (M + 1) R of [phi | y], not of the N-row buffer
         assert r.base.shape == (lib.n_terms + 1, lib.n_terms + 1)
@@ -503,7 +503,7 @@ class TestCompressed:
 
     def test_replaced_or_reduced_library_compresses_afresh(self):
         lib = random_library(n=300, m=6)
-        r, qty = lib.compressed
+        r, qty, _ = lib.compressed
         doubled = replace(lib, matrix=2 * lib.matrix)
         expect = compress(2 * lib.matrix, lib.target)
         assert np.array_equal(doubled.compressed[0], expect[0])

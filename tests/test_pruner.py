@@ -215,7 +215,7 @@ class TestActiveSystem:
     def test_no_n_row_array_but_working_copy(self):
         # the R factor of [phi | y] is N x (M + 1); only a copy of its top
         # block may stay alive, not views into the whole factor; |phi| is
-        # kept as M x N, and the library itself is held, not copied
+        # kept as M x N, and neither the library nor its target is held
         lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
         system = _ActiveSystem(lib)
         n_row = {}
@@ -227,8 +227,6 @@ class TestActiveSystem:
                 root = root.base
             if root.shape[0] == lib.n_samples:
                 n_row[name] = root
-        assert n_row.pop("y") is lib.target
-        assert n_row.pop("phi") is lib.matrix
         assert n_row == {}
         assert system.absphi.shape == (lib.n_terms, lib.n_samples)
         assert system.absphi.flags.c_contiguous

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from bgsindy import DatasetError, least_squares, residual
+from bgsindy.regression import compress
+from tests.test_baselines import wide_scale_library
+from tests.test_pruner import synthetic_library
 
 
 class TestLeastSquares:
@@ -44,6 +47,53 @@ class TestLeastSquares:
         bad[0, 0] = np.nan
         with pytest.raises(DatasetError):
             least_squares(bad, np.ones(4))
+
+
+class TestCompress:
+    @staticmethod
+    def assert_misfit_identity(phi, y, xi):
+        """||R xi - Q^T y||^2 + rho^2 = ||phi xi - y||^2, to 1e-12 ||y||^2."""
+        r, qty, rho = compress(phi, y)
+        short = r @ xi - qty
+        tall = phi @ xi - y
+        assert abs(short @ short + rho * rho - tall @ tall) <= 1e-12 * (y @ y)
+
+    @staticmethod
+    def coefficient_sets(phi, y, rng):
+        """Random coefficients, each term contributing about ||y||; zero; and
+        the least-squares fit."""
+        scale = np.linalg.norm(y) / np.linalg.norm(phi, axis=0)
+        return (rng.standard_normal(phi.shape[1]) * scale, np.zeros(phi.shape[1]),
+                least_squares(phi, y).coefficients)
+
+    @pytest.mark.parametrize("n", [300, 9], ids=["tall", "one-row-past-the-columns"])
+    def test_misfit_identity(self, rng, n):
+        lib, _ = synthetic_library(n=n, m=8, k_true=3, noise=1e-2, seed=3)
+        for xi in self.coefficient_sets(lib.matrix, lib.target, rng):
+            self.assert_misfit_identity(lib.matrix, lib.target, xi)
+
+    def test_misfit_identity_on_wide_column_scales(self, rng):
+        lib = wide_scale_library()
+        for xi in self.coefficient_sets(lib.matrix, lib.target, rng):
+            self.assert_misfit_identity(lib.matrix, lib.target, xi)
+
+    def test_rho_is_the_least_squares_misfit(self, rng):
+        phi = rng.standard_normal((200, 5))
+        y = rng.standard_normal(200)
+        _, qty, rho = compress(phi, y)
+        fit = least_squares(phi, y)
+        assert np.isclose(rho * rho / y.size, fit.residual, rtol=1e-12)
+        assert np.isclose(qty @ qty + rho * rho, y @ y, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_rho_zero_without_rows_past_the_columns(self, rng, n):
+        phi = rng.standard_normal((n, 6))
+        y = rng.standard_normal(n)
+        r, qty, rho = compress(phi, y)
+        assert rho == 0.0
+        assert r.shape == (n, 6) and qty.shape == (n,)
+        for xi in (rng.standard_normal(6), np.zeros(6)):
+            self.assert_misfit_identity(phi, y, xi)
 
 
 class TestResidual:
