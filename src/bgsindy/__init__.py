@@ -20,7 +20,7 @@ from .core import (
 )
 from .differentiation import time_derivative
 from .library import Library, LibrarySpec, TermDescriptor, build_library, reduce_independent, render_term
-from .regression import FitResult, least_squares, residual
+from .regression import FitResult, least_squares
 from .pruner import PrunerConfig, discover, importance
 from .baselines import stlsq, train_stridge
 from .metrics import coefficient_error, relative_l2, structure_match

@@ -82,7 +82,8 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
                   l0_penalty: float | None = None) -> DiscoveredModel:
     """Threshold search for STRidge scored on a held-out split.
 
-    The training split is compressed once and each solve runs on its R. The
+    The training rows are gathered straight into one QR buffer (`compress`
+    with `rows`), compressed once, and each solve runs on their R. The
     score is the held-out squared misfit, a tall product, plus an l0 penalty
     per active term (default 1e-3 times cond(R), the training matrix's). The
     winning support is refit by plain least squares on all data, solved on
@@ -103,7 +104,7 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
     perm = rng.permutation(n)
     n_train = int(round(split * n))
     train, test = perm[:n_train], perm[n_train:]
-    r, qty, rho = compress(library.matrix[train], library.target[train])
+    r, qty, rho = compress(library.matrix, library.target, rows=train)
     x_te, y_te = library.matrix[test], library.target[test]
 
     if l0_penalty is None:

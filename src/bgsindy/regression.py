@@ -1,4 +1,5 @@
-"""Rank-tolerant least squares and the mean-squared residual functional."""
+"""Rank-tolerant least squares, its mean-squared residual, and the compressed
+LS system (R, Q^T y and rho of one QR)."""
 
 from __future__ import annotations
 
@@ -36,11 +37,13 @@ def _svd_solve(phi: np.ndarray, u_t: np.ndarray) -> tuple[np.ndarray, int]:
     return (vt.T @ (inv * (u.T @ u_t))) / scale, rank
 
 
-def compress(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def compress(phi: np.ndarray, y: np.ndarray,
+             rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """R, Q^T y and rho of phi = QR: the R factor of [phi | y], from an
     in-place "raw" QR of a column-major copy, so Q is never formed. An LS
     solve on columns of R, with or without ridge rows, has the solution of
-    the tall one up to round-off.
+    the tall one up to round-off. With `rows`, phi and y are the rows of
+    that index array, gathered column by column into the copy.
 
     rho is the factor's last diagonal entry, and rho^2 the part of ||y||^2
     outside the span of phi, so for any xi
@@ -48,10 +51,16 @@ def compress(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     (Golub & Van Loan, Matrix Computations, sec. 5.3). With N <= M the
     factor has no row M, and rho is 0."""
     import scipy.linalg  # loaded at the first factorization, not with the package
-    n, m = phi.shape
+    m = phi.shape[1]
+    n = phi.shape[0] if rows is None else len(rows)
     aug = np.empty((n, m + 1), order="F")
-    aug[:, :m] = phi
-    aug[:, m] = y
+    if rows is None:
+        aug[:, :m] = phi
+        aug[:, m] = y
+    else:
+        for j in range(m):
+            np.take(phi[:, j], rows, out=aug[:, j])
+        np.take(y, rows, out=aug[:, m])
     top = scipy.linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
     return top[:m, :m], top[:m, m], float(top[m, m]) if n > m else 0.0
 
@@ -77,15 +86,5 @@ def least_squares(phi_active: np.ndarray, u_t: np.ndarray) -> FitResult:
     if not (np.isfinite(phi_active).all() and np.isfinite(u_t).all()):
         raise DatasetError("non-finite inputs")
     xi, rank = _svd_solve(phi_active, u_t)
-    res = residual(phi_active, xi, u_t)
-    return FitResult(xi, res, rank)
-
-
-def residual(phi_active: np.ndarray, xi: np.ndarray, u_t: np.ndarray) -> float:
-    phi_active = np.asarray(phi_active)
-    xi = np.asarray(xi)
-    u_t = np.asarray(u_t)
-    if phi_active.shape != (u_t.size, xi.size):
-        raise DatasetError("shape mismatch between phi, xi, and target")
-    r = phi_active @ xi - u_t
-    return float(r @ r) / u_t.size
+    misfit = phi_active @ xi - u_t
+    return FitResult(xi, float(misfit @ misfit) / n, rank)

@@ -3,11 +3,14 @@
 Every fact about a benchmark sits in its `BENCHMARKS` entry. A benchmark
 dataset is its reference models integrated from its initial fields by the
 code that reintegrates discovered models (`integrate_model`).
-Periodic fields, one 1D field or coupled 2D fields, use Fourier pseudo-spectral
-space discretization with 2/3-rule dealiasing and ETDRK4 (update coefficients
-by contour quadrature); a small 1D grid steps on the real and imaginary parts
-of its spectrum, with a right-hand side folded into real DFT matrices.
-Bounded fields (KdV) use RK4 over 4th-order central
+Every right-hand side reads one grouping of a model's terms (`_pieces`):
+a sum of pieces, each a polynomial in the fields times one derivative
+factor, with the flux terms f^p f_a of periodic fields joined into one flux
+piece per axis. Periodic fields, one 1D field or coupled 2D fields, use
+Fourier pseudo-spectral space discretization with 2/3-rule dealiasing and
+ETDRK4 (update coefficients by contour quadrature); a small 1D grid steps on
+the real and imaginary parts of its spectrum, with a right-hand side folded
+into real DFT matrices. Bounded fields (KdV) use RK4 over 4th-order central
 differences with an antisymmetric ghost closure consistent with homogeneous
 Dirichlet walls: each right-hand side pads u with its odd reflection about
 both walls and applies the central stencils of every derivative order a
@@ -31,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Axis, Dataset, DatasetError, DiscoveredModel, from_entries, json_entry
 from .differentiation import central_weights
-from .library import TermDescriptor, power_degrees, power_table, power_tables
+from .library import TermDescriptor, power_degrees, power_table
 
 BLOWUP_LIMIT = 1e6
 N_CONTOUR = 64          # contour points per ETDRK4 coefficient
@@ -78,61 +81,96 @@ class BenchmarkConfig:
 
 
 # ---------------------------------------------------------------------------
-# pointwise model terms, shared by both integrators
+# the term grouping every integrator reads
 
-def _grouped(pairs):
-    """The (term, c) pairs as (c, terms) groups of the terms that share a
-    coefficient, in order of first appearance."""
-    groups = {}
-    for t, c in pairs:
-        groups.setdefault(float(c), []).append(t)
-    return list(groups.items())
+def _flux_axis(term: TermDescriptor) -> int | None:
+    """Axis a when the term is f^p f_a: powers of one field f times a single
+    first derivative of f itself. Otherwise None."""
+    if (term.deriv is None or len(term.powers) != 1 or sum(term.deriv[1]) != 1
+            or term.powers[0][0] != term.deriv[0]):
+        return None
+    return term.deriv[1].index(1)
 
 
-def _weighted_sum(groups, powers, derivs):
-    """Pointwise sum over (c, terms) groups of c times the summed terms: a
-    group is summed before it is scaled, which saves a product per term."""
-    acc = None
-    for c, terms in groups:
-        total = terms[0].evaluate(powers, derivs)
-        for t in terms[1:]:
-            total = total + t.evaluate(powers, derivs)
-        acc = c * total if acc is None else acc + c * total
-    return acc
+def _pieces(model: DiscoveredModel, fluxes: bool) -> dict:
+    """A model's terms grouped by factor, as {factor: {monomial: coefficient}}:
+    a term is its monomial (its powers, as a TermDescriptor) times its
+    derivative factor (its deriv key, or None). With `fluxes`, a term
+    f^p f_a (`_flux_axis`) joins the flux along axis a instead: the factor a
+    (an int) gets the monomial f^(p+1) with coefficient c / (p+1)."""
+    pieces = {}
+    for t, c in zip(model.terms, model.coefficients):
+        factor, monomial, c = t.deriv, TermDescriptor(t.powers), float(c)
+        axis = _flux_axis(t) if fluxes else None
+        if axis is not None:
+            (f, p), = t.powers
+            factor, monomial, c = axis, TermDescriptor(((f, p + 1),)), c / (p + 1)
+        piece = pieces.setdefault(factor, {})
+        piece[monomial] = piece.get(monomial, 0.0) + c
+    return pieces
+
+
+def _power_rows(pieces, n: int, lead: int = 0):
+    """The grid-space layout of a one-field model's pieces on n points: a
+    (lead + D + 1) x n buffer whose last rows hold u, u^2, ..., u^D, 1 (D the
+    pieces' highest degree, at least 1), the pieces' coefficient matrix over
+    those rows, and a function that forms u^2, ..., u^D in place, each from
+    the row below, once u is in row `lead`."""
+    degrees = [{sum(p for _, p in m.powers): c for m, c in piece.items()} for piece in pieces]
+    degree = max([1] + [p for d in degrees for p in d])
+    exponents = [*range(1, degree + 1), 0]
+    coefficients = np.reshape([[d.get(p, 0.0) for p in exponents] for d in degrees],
+                              (-1, degree + 1))
+    rows = np.empty((lead + degree + 1, n))
+    rows[-1] = 1.0
+    u = rows[lead]
+    steps = tuple(zip(rows[lead:lead + degree - 1], rows[lead + 1:lead + degree]))
+
+    def raise_powers():
+        for lower, higher in steps:
+            np.multiply(lower, u, out=higher)
+
+    return rows, coefficients, raise_powers
 
 
 # ---------------------------------------------------------------------------
 # bounded FD machinery (KdV and Dirichlet model integration)
 
 def _fd_rhs(model: DiscoveredModel, n: int, dx: float):
-    """Right-hand side of a Dirichlet model on n points. A call pads u with
-    its odd reflection about both walls (u_-j = -u_j, the ghost closure of
-    homogeneous Dirichlet walls), applies the central stencils of every
-    derivative order the terms use in one windowed product, so each order is
-    evaluated once, and sets the wall values to zero."""
+    """Right-hand side of a Dirichlet model on n points, a sum of its pieces
+    (`_pieces`, without fluxes): those with a derivative factor, one per
+    order, then the one without. A call fills the power rows of u
+    (`_power_rows`) and makes one coefficient product. It pads u with its
+    odd reflection about both walls (u_-j = -u_j, the ghost closure of
+    homogeneous Dirichlet walls) and applies the central stencils of every
+    order in one windowed product, so each order is evaluated once, and
+    multiplies those rows in. It then sums the pieces and sets the wall
+    values to zero."""
     def rhs(u):
+        rows[0] = u
         padded[h:h + n] = u
         np.negative(u[h:0:-1], out=padded[:h])
         np.negative(u[-2:-h - 2:-1], out=padded[h + n:])
-        du = stencils @ columns
-        powers = power_tables({field: u}, degrees)
-        derivs = {key: du[row] for key, row in rows.items()}
-        out = _weighted_sum(groups, powers, derivs) if groups else np.zeros_like(u)
+        raise_powers()
+        np.dot(coefficients, rows, out=values)
+        np.multiply(factored, stencils @ columns, out=factored)
+        out = values.sum(axis=0)
         out[0] = 0.0
         out[-1] = 0.0
         return out
 
-    field = model.target_field
-    keys = {t.deriv for t in model.terms if t.deriv is not None}
-    orders = sorted({key[1][0] for key in keys})
-    rows = {key: orders.index(key[1][0]) for key in keys}
+    pieces = _pieces(model, fluxes=False)
+    keys = sorted(key for key in pieces if key is not None)
+    orders = [key[1][0] for key in keys]
+    keys += [None] if None in pieces else []
     stencils = central_weights(orders, dx).T
     h = stencils.shape[1] // 2
     padded = np.empty(n + 2 * h)
     # a view of padded: column i holds the points of u_i's stencils
     columns = sliding_window_view(padded, 2 * h + 1).T
-    degrees = power_degrees(model.terms)
-    groups = _grouped(zip(model.terms, model.coefficients))
+    rows, coefficients, raise_powers = _power_rows([pieces[key] for key in keys], n)
+    values = np.empty((len(keys), n))
+    factored = values[:len(orders)]
     return rhs
 
 
@@ -263,48 +301,34 @@ def _dense_rhs(model: DiscoveredModel, ks, mask, n: int):
     """Right-hand side of a periodic 1D model on a `_dense_grid`, on the real
     state: the interleaved real and imaginary parts of the half spectrum.
 
-    A term u^p u_x is a flux, as in `_spectral_term_rhs`. Every other term
-    u^p d is grouped by its derivative factor d (of one order, or none), so
-    the model is a sum of pieces P(u) d and one flux polynomial F(u), whose
-    derivative is taken spectrally. The plan is built once: `to_grid` maps
-    the kept modes to each factor and to u, with (i k)^o folded in;
-    `to_modes` maps the pieces and the flux back to the half spectrum, with
-    the dealias mask and, for the flux, i k folded in (`_dense_dft`); and the
-    coefficients of every polynomial form one matrix over the rows
-    u, u^2, ..., u^D, 1. A call is one product to the grid, the powers of u
-    by repeated products, one product for the polynomials, one for the
-    factors and one product back to a new state, zero above the mask."""
+    The model is a sum of its pieces (`_pieces`, with fluxes): P(u) d for
+    each derivative factor d, in order of its order, the piece without a
+    factor, and the flux F(u), whose derivative is taken spectrally. The plan
+    is built once: `to_grid` maps the kept modes to each factor and to u,
+    with (i k)^o folded in; `to_modes` maps the pieces back to the half
+    spectrum, with the dealias mask and, for the flux, i k folded in
+    (`_dense_dft`); and the pieces' coefficients form one matrix over the
+    power rows (`_power_rows`). A call is one product to the grid, the powers
+    of u, one product for the coefficients, one for the factors and one
+    product back to a new state, zero above the mask."""
     (k,), kept = ks, int(mask.sum())
-    polynomials = {}    # derivative order (0: no factor; None: the flux) -> {p: coefficient}
-    for t, c in zip(model.terms, model.coefficients):
-        p = sum(q for _, q in t.powers)
-        if _flux_axis(t) is not None:
-            key, p, c = None, p + 1, c / (p + 1)
-        else:
-            key = t.deriv[1][0] if t.deriv is not None else 0
-        polynomials.setdefault(key, {})[p] = float(c)
-    orders = sorted(o for o in polynomials if o)    # the factored pieces come first
-    keys = orders + [o for o in (0, None) if o in polynomials]
-    degree = max([1] + [p for poly in polynomials.values() for p in poly])
-    exponents = [*range(1, degree + 1), 0]
-    coefficients = np.reshape([[polynomials[o].get(p, 0.0) for p in exponents] for o in keys],
-                              (-1, degree + 1))
+    pieces = _pieces(model, fluxes=True)
+    keys = sorted(key for key in pieces if isinstance(key, tuple))
+    orders = [key[1][0] for key in keys]
+    keys += [key for key in (None, 0) if key in pieces]     # no factor; the flux
+    rows, coefficients, raise_powers = _power_rows([pieces[key] for key in keys], n,
+                                                   lead=len(orders))
     to_grid, to_modes = _dense_dft(n, kept, [(1j * k) ** o for o in orders + [0]],
-                                   [mask * (1j * k if o is None else 1) for o in keys])
+                                   [mask * (1j * k if key == 0 else 1) for key in keys])
     to_modes = np.asfortranarray(to_modes)      # each output mode one contiguous dot
-    rows = np.empty((len(orders) + degree + 1, n))
-    rows[-1] = 1.0
     factors, powers = rows[:len(orders)], rows[len(orders):]
-    u = powers[0]
     grid = rows[:len(orders) + 1].reshape(-1)
-    steps = tuple(zip(powers[:degree - 1], powers[1:degree]))
     values = np.empty((len(keys), n))
     factored, flat, width = values[:len(orders)], values.reshape(-1), 2 * kept
 
     def rhs(s):
         np.dot(s[:width], to_grid, out=grid)
-        for lower, higher in steps:
-            np.multiply(lower, u, out=higher)
+        raise_powers()
         np.dot(coefficients, powers, out=values)
         if orders:
             np.multiply(factored, factors, out=factored)
@@ -350,90 +374,51 @@ def _split_linear(model: DiscoveredModel, ks):
                                 np.array([c for _, c in rest]), model.target_field, 0.0)
 
 
-def _flux_axis(term: TermDescriptor) -> int | None:
-    """Axis a when the term is f^p f_a: powers of one field f times a single
-    first derivative of f itself. Otherwise None."""
-    if (term.deriv is None or len(term.powers) != 1 or sum(term.deriv[1]) != 1
-            or term.powers[0][0] != term.deriv[0]):
-        return None
-    return term.deriv[1].index(1)
-
-
-def _flux_polynomial(field: str, coefficients: dict):
-    """The flux sum_m a_m f^m of one field, from its {m: a_m}, as its lowest
-    monomial f^lo and the coefficients a_hi, ..., a_lo of its Horner tail
-    (zeros in the gaps)."""
-    lo, hi = min(coefficients), max(coefficients)
-    return (TermDescriptor(((field, lo),)),
-            [coefficients.get(m, 0.0) for m in range(hi, lo - 1, -1)])
-
-
-def _horner(polynomial, powers):
-    """Pointwise value of a `_flux_polynomial`: evaluate(f^lo) times the
-    tail a_lo + a_(lo+1) f + ... + a_hi f^(hi-lo), formed by Horner's rule in
-    place. A one-term flux is a_lo * evaluate(f^lo)."""
-    lowest, coefficients = polynomial
-    value = lowest.evaluate(powers, {})
-    if len(coefficients) == 1:
-        return coefficients[0] * value
-    f = powers[lowest.powers[0][0]][0]
-    tail = coefficients[0] * f
-    for a in coefficients[1:-1]:
-        if a:
-            tail += a
-        tail *= f
-    tail += coefficients[-1]
-    tail *= value
-    return tail
-
-
 def _spectral_term_rhs(models, ks, mask, shape):
     """Right-hand side of periodic models in real-FFT space.
 
-    It maps the fields' spectra, in model order, to each model's spectrum.
-    A term f^p f_a (`_flux_axis`) is a flux: its monomial f^(p+1) / (p+1)
-    joins the polynomial in f of the model's fluxes along axis a, evaluated
-    by `_horner`; the polynomials of each axis are summed over the fields,
-    and the sum is differentiated once, by i k_a on its spectrum. Every other
-    term is evaluated pointwise, its derivative factor taken through the
-    spectral multiplier (i k)^o. The plan is built once here: the
-    multipliers with the dealias mask folded in, each field's power-table
-    degree, and the buffers the transforms write into, so a call builds one
-    power table per field; the returned spectra are new arrays. Spectra are
-    dealiased on the way to grid space by cutting the half-spectrum axis at
-    the mask's last mode (the inverse transform zero-pads it, which is
-    bit-identical to the mask there) and by the rest of the mask across the
-    other axes. A `_dense_grid` steps on `_dense_rhs` instead.
+    It maps the fields' spectra, in model order, to the stack of the models'
+    spectra. Each model is a sum of its pieces (`_pieces`, with fluxes). A
+    call evaluates each distinct monomial of the models once, by
+    `TermDescriptor.evaluate` over the fields' power tables. A piece is the
+    sum of c times its monomials over its nonzero coefficients, times its
+    derivative factor, taken through the multiplier (i k)^o. A model's
+    pieces other than fluxes are summed and transformed once; its flux along
+    axis a is transformed and differentiated by i k_a. The multipliers, with
+    the dealias mask folded in, and the transforms' buffers are built once.
+    Spectra are dealiased on the way to grid space by cutting the
+    half-spectrum axis at the mask's last mode (the inverse transform
+    zero-pads it, which is bit-identical to the mask there) and by the rest
+    of the mask across the other axes.
     """
     kept = int(mask.reshape(-1, mask.shape[-1]).any(axis=0).sum())
     low = None if mask[..., :kept].all() else mask[..., :kept]
     fields = [m.target_field for m in models]
-    plans = []
     deriv_mults = {}
-    evaluated = []
+    monomials = {}
+    plans = []      # per model: (multiplier, [(factor, [(c, monomial)])]) per transform
     for m in models:
-        local, fluxes = [], {}
-        for t, c in zip(m.terms, m.coefficients):
-            axis = _flux_axis(t)
-            if axis is None:
-                local.append((t, c))
-                if t.deriv is not None and t.deriv not in deriv_mults:
-                    mult = mask
-                    for k, o in zip(ks, t.deriv[1]):
-                        if o:
-                            mult = mult * (1j * k) ** o
-                    deriv_mults[t.deriv] = (fields.index(t.deriv[0]), mult[..., :kept],
-                                            np.empty(shape))
-            else:
-                (f, p), = t.powers
-                fluxes.setdefault(axis, {}).setdefault(f, {})[p + 1] = float(c) / (p + 1)
-        flux_plans = [(1j * ks[axis] * mask,
-                       [_flux_polynomial(f, coefs) for f, coefs in sorted(per_field.items())])
-                      for axis, per_field in sorted(fluxes.items())]
-        evaluated += [t for t, _ in local] + [lowest for _, polys in flux_plans
-                                              for lowest, _ in polys]
-        plans.append((_grouped(local), flux_plans))
-    degrees = power_degrees(evaluated)
+        local, fluxes = [], []
+        for factor, piece in _pieces(m, fluxes=True).items():
+            terms = [(c, t) for t, c in piece.items() if c]
+            monomials.update((t, None) for _, t in terms)
+            if not terms:
+                continue
+            if isinstance(factor, int):
+                fluxes.append((factor, [(None, terms)]))
+                continue
+            local.append((factor, terms))
+            if factor is not None and factor not in deriv_mults:
+                mult = mask
+                for k, o in zip(ks, factor[1]):
+                    if o:
+                        mult = mult * (1j * k) ** o
+                deriv_mults[factor] = (fields.index(factor[0]), mult[..., :kept],
+                                       np.empty(shape))
+        transforms = [(mask, local)] if local else []
+        plans.append(transforms + [(1j * ks[axis] * mask, group)
+                                   for axis, group in sorted(fluxes)])
+    degrees = power_degrees(monomials)
     field_plans = [(f, degrees.get(f, 1), np.empty(shape)) for f in fields]
 
     forward, inverse = _transforms(shape)
@@ -448,18 +433,26 @@ def _spectral_term_rhs(models, ks, mask, shape):
                   for (f, d, grid), v in zip(field_plans, vs)}
         derivs = {key: inverse(vs[i][..., :kept] * mult, out=grid)
                   for key, (i, mult, grid) in deriv_mults.items()}
-        outs = []
-        for v, (local, flux_plans) in zip(vs, plans):
-            out = (forward(_weighted_sum(local, powers, derivs), out=spectrum) * mask
-                   if local else None)
-            for mult, polynomials in flux_plans:
-                flux = _horner(polynomials[0], powers)
-                for polynomial in polynomials[1:]:
-                    flux += _horner(polynomial, powers)
-                g = forward(flux, out=spectrum) * mult
-                out = g if out is None else out + g
-            outs.append(np.zeros_like(v) if out is None else out)
-        return outs
+        rows = {t: t.evaluate(powers, {}) for t in monomials}
+        out = np.empty((len(plans),) + mask.shape, dtype=complex)
+        for target, transforms in zip(out, plans):
+            if not transforms:
+                target.fill(0.0)
+            for j, (mult, group) in enumerate(transforms):
+                total = None
+                for factor, ((c, t), *rest) in group:
+                    piece = c * rows[t]
+                    for c, t in rest:
+                        piece += c * rows[t]
+                    if factor is not None:
+                        piece *= derivs[factor]
+                    total = piece if total is None else np.add(total, piece, out=total)
+                g = forward(total, out=spectrum)
+                if j:
+                    target += g * mult
+                else:
+                    np.multiply(g, mult, out=target)
+        return out
 
     return rhs
 
@@ -467,26 +460,21 @@ def _spectral_term_rhs(models, ks, mask, shape):
 def _spectral_plan(models, initial, space_axes, dt):
     """Pseudo-spectral integration of periodic fields by ETDRK4 on their even
     pure-derivative terms: the initial spectrum, the step, the per-output
-    screen and `to_fields`. One field steps on its spectrum, as a real state
-    on a `_dense_grid`; coupled fields step as one stack of their spectra,
-    under the stack of their symbols."""
+    screen and `to_fields`. The fields step as one stack of their spectra,
+    under the stack of their symbols; one field on a `_dense_grid` steps on
+    its spectrum as a real state."""
     shape = tuple(a.count for a in space_axes)
     if len(shape) == 1 and len(models) != 1:
         raise DatasetError("1D integration expects a single model")
     ks, mask = _spectral_grid(space_axes)
     lins, rest = zip(*(_split_linear(m, ks) for m in models))
     forward, inverse = _transforms(shape)
-    spectra = [forward(initial[m.target_field]) for m in models]
+    spectra = np.stack([forward(initial[m.target_field]) for m in models])
     if _dense_grid(shape):
-        lin, v0, step_rhs = (np.repeat(lins[0], 2), spectra[0].view(float),
-                             _dense_rhs(rest[0], ks, mask, shape[0]))
+        lin, v0, nonlin = (np.repeat(lins[0], 2), spectra[0].view(float),
+                           _dense_rhs(rest[0], ks, mask, shape[0]))
     else:
-        nonlin = _spectral_term_rhs(rest, ks, mask, shape)
-        if len(models) == 1:
-            lin, v0, step_rhs = lins[0], spectra[0], lambda v: nonlin([v])[0]
-        else:
-            lin, v0, step_rhs = (np.stack(lins), np.stack(spectra),
-                                 lambda v: np.stack(nonlin(list(v))))
+        lin, v0, nonlin = np.stack(lins), spectra, _spectral_term_rhs(rest, ks, mask, shape)
     # 2 sum|v| / prod(n) bounds max|u| over the grid, and the sum over a real
     # state is no smaller: a state whose bound is within BLOWUP_LIMIT / 2
     # holds no slice that fails the blow-up check
@@ -496,7 +484,7 @@ def _spectral_plan(models, initial, space_axes, dt):
         u = inverse(block.view(complex)).reshape((len(block), -1) + shape)
         return tuple(np.moveaxis(u, 1, 0))
 
-    return (v0, partial(Etdrk4(lin, dt).step, nonlin=step_rhs),
+    return (v0, partial(Etdrk4(lin, dt).step, nonlin=nonlin),
             lambda v: np.abs(v).sum() <= screen, to_fields)
 
 

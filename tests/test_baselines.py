@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,19 @@ class TestTrainStridge:
         lib, _ = synthetic_library()
         with pytest.raises(DatasetError):
             train_stridge(lib, split=1.5)
+
+    def test_peak_memory_below_one_and_a_half_libraries(self):
+        # the training rows are gathered straight into the QR buffer (0.8 N x
+        # (M + 1)), so no copy of the training split sits beside it; the
+        # held-out rows add 0.2 N x M
+        lib, _ = synthetic_library(n=200_000, m=10, k_true=3, noise=1e-4, seed=6)
+        tracemalloc.start()
+        try:
+            train_stridge(lib)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * lib.matrix.nbytes
 
 
 class TestParameterChecks:

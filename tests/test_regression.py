@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bgsindy import DatasetError, least_squares, residual
+from bgsindy import DatasetError, least_squares
 from bgsindy.regression import compress
 from tests.test_baselines import wide_scale_library
 from tests.test_pruner import synthetic_library
@@ -94,28 +94,6 @@ class TestCompress:
         assert r.shape == (n, 6) and qty.shape == (n,)
         for xi in (rng.standard_normal(6), np.zeros(6)):
             self.assert_misfit_identity(phi, y, xi)
-
-
-class TestResidual:
-    def test_exact_solution_zero(self, rng):
-        phi = rng.standard_normal((20, 3))
-        xi = rng.standard_normal(3)
-        assert residual(phi, xi, phi @ xi) < 1e-28
-
-    def test_ones_case(self):
-        assert np.isclose(residual(np.ones((2, 1)), np.array([2.0]),
-                                   np.array([1.0, 3.0])), 1.0)
-
-    def test_consistency_with_fit(self, rng):
-        phi = rng.standard_normal((40, 4))
-        y = rng.standard_normal(40)
-        fit = least_squares(phi, y)
-        assert np.isclose(residual(phi, fit.coefficients, y), fit.residual,
-                          rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DatasetError):
-            residual(np.ones((3, 2)), np.ones(3), np.ones(3))
 
 
 class TestProperties:

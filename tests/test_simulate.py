@@ -20,6 +20,33 @@ from bgsindy.simulate import (BLOWUP_LIMIT, Etdrk4, default_config, generate_ben
                               _spectral_term_rhs)
 
 
+def digests_at_blas_threads(script):
+    """The output of `script`, run after the imports of hashlib, replace,
+    default_config and generate_benchmark, at 1 and at 2 BLAS threads."""
+    script = ("import hashlib; from dataclasses import replace; "
+              "from bgsindy.simulate import default_config, generate_benchmark\n" + script)
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                              cwd=Path(bgsindy.__file__).resolve().parents[1])
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    return digests
+
+
+def test_rk4_and_2d_data_independent_of_blas_threads():
+    # the RK4 plan's coefficient and stencil products run on BLAS, and its
+    # thread count must move no bit of the KdV or the coupled 2D data
+    digests = digests_at_blas_threads(
+        "d = generate_benchmark('kdv', replace(default_config('kdv'), t_final=0.1))\n"
+        "print(hashlib.sha256(d.fields['u'].tobytes()).hexdigest())\n"
+        "c = replace(default_config('rd2d'), counts=(64, 64), t_final=1.0)\n"
+        "d = generate_benchmark('rd2d', c)\n"
+        "print(hashlib.sha256(d.fields['u'].tobytes() + d.fields['v'].tobytes()).hexdigest())")
+    assert digests[0] == digests[1]
+
+
 class TestKdv:
     def test_initial_slice_is_ic(self, kdv_dataset):
         x = kdv_dataset.space_axes[0].points()
@@ -67,6 +94,14 @@ class TestKdv:
         c = replace(default_config("kdv"), t_final=0.05)
         a, b = generate_benchmark("kdv", c), generate_benchmark("kdv", c)
         assert a.fields["u"].tobytes() == b.fields["u"].tobytes()
+
+    def test_data_byte_identical_to_stored_digest(self):
+        # the pieces' coefficient product is exact on the reference model
+        # (one monomial per piece), so the data keep the bytes of the
+        # per-term sums (numpy 2.4, x86-64)
+        d = generate_benchmark("kdv", replace(default_config("kdv"), t_final=0.1))
+        digest = hashlib.sha256(d.fields["u"].tobytes()).hexdigest()
+        assert digest == "d7e6cbf90c33517fbd6ec0561a49d23739d9b30a6f71e1567825eaaba9e1b56b"
 
 
 def ghost_matrix(n, dx, order, accuracy=4):
@@ -194,9 +229,9 @@ class TestBurgersHyper:
         assert np.abs(burgers_dataset.fields["u"]).max() <= 1.0 + 1e-9
 
     def test_data_byte_identical_to_stored_digest(self, burgers_dataset):
-        # the one-term flux is a * evaluate(u^2) and the 4048-point grid
-        # transforms by FFT, so the data keep the bytes they had before the
-        # Horner fluxes and the dense transforms (numpy 2.4, x86-64)
+        # the flux is the one piece c * evaluate(u^2) and the 4048-point
+        # grid transforms by FFT, so the data keep the bytes they had before
+        # the term grouping and the dense transforms (numpy 2.4, x86-64)
         digest = hashlib.sha256(burgers_dataset.fields["u"].tobytes()).hexdigest()
         assert digest == "958d02e94143b3bf4b874c6f770965b5928bde702d46c743098785c93518758c"
 
@@ -239,23 +274,22 @@ class TestModifiedKs:
         e_fine = (fine.fields["u"] ** 2).mean(axis=0)[skip:].mean()
         assert abs(e_coarse - e_fine) / e_fine < 0.05
 
+    def test_data_byte_identical_to_stored_digest(self):
+        # the dense plan's arithmetic reads the pieces in the order it read
+        # its own grouping (numpy 2.4, x86-64)
+        d = generate_benchmark("modified-ks", replace(default_config("modified-ks"), t_final=2.0))
+        digest = hashlib.sha256(d.fields["u"].tobytes()).hexdigest()
+        assert digest == "5554634421c930cdae1251663780be05d8e93050bc33070f0ee1e1295933ed4f"
+
     def test_data_independent_of_blas_threads(self):
         # the 128- and 256-point grids transform by matrix products inside the
         # integrator, so BLAS runs there; its thread count must not move a bit
         assert _dense_grid((256,))
-        script = ("import hashlib; from dataclasses import replace; "
-                  "from bgsindy.simulate import default_config, generate_benchmark; "
-                  "c = replace(default_config('modified-ks'), t_final=2.0)\n"
-                  "for n in (128, 256):\n"
-                  "    d = generate_benchmark('modified-ks', replace(c, counts=(n,)))\n"
-                  "    print(hashlib.sha256(d.fields['u'].tobytes()).hexdigest())")
-        digests = []
-        for threads in ("1", "2"):
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-                                  cwd=Path(bgsindy.__file__).resolve().parents[1])
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout)
+        digests = digests_at_blas_threads(
+            "c = replace(default_config('modified-ks'), t_final=2.0)\n"
+            "for n in (128, 256):\n"
+            "    d = generate_benchmark('modified-ks', replace(c, counts=(n,)))\n"
+            "    print(hashlib.sha256(d.fields['u'].tobytes()).hexdigest())")
         assert digests[0] == digests[1]
 
     def test_fourth_order_convergence(self):
@@ -575,7 +609,7 @@ def _flux(f, p, axis=0, ndim=1):
 
 
 class TestLeanSpectralStep:
-    """The dense transforms of small 1D grids and the Horner fluxes against
+    """The dense transforms of small 1D grids and the flux pieces against
     numpy's FFT and the `**` formulas."""
 
     @pytest.mark.parametrize("n", [64, 127, 128])
@@ -602,7 +636,7 @@ class TestLeanSpectralStep:
 
     @pytest.mark.parametrize("n", [64, 256], ids=["dense", "fft"])
     def test_gapped_flux_polynomial(self, rng, n):
-        # u u_x + u^4 u_x: the flux u^2/2 + u^5/5 has a gap in its Horner tail
+        # u u_x + u^4 u_x: the flux u^2/2 + u^5/5 skips the powers 3 and 4
         ks, mask = _spectral_grid((Axis(0.0, 22.0 / n, n),))
         model = DiscoveredModel((_flux("u", 1), _flux("u", 4), TermDescriptor((), ("u", (3,)))),
                                 np.array([-1.0, 0.3, 0.05]), "u", 0.0)
