@@ -313,7 +313,10 @@ def _space_derivatives(dataset: Dataset, keys, indices: np.ndarray | None = None
 
 
 def _periodic_axes(dataset: Dataset, fname: str) -> tuple[bool, ...]:
-    """Per grid axis (space axes, then time): does the field wrap around?"""
+    """Per grid axis (space axes, then time): does the field wrap around?
+    An unknown field raises a DatasetError."""
+    if fname not in dataset.fields:
+        raise DatasetError(f"unknown target field '{fname}'")
     return (dataset.boundary[fname] == "periodic",) * dataset.ndim_space + (False,)
 
 
@@ -322,13 +325,15 @@ def row_half_widths(dataset: Dataset, target_field: str,
     """Test-function half-widths per grid axis (space axes, then time).
 
     Each comes from the spectral corner of the target field along that axis
-    (`corner_half_width`); all are 0 for grid-local rows.
+    (`corner_half_width`); all are 0 for grid-local rows. An unknown target
+    field raises a DatasetError.
     """
+    periodic = _periodic_axes(dataset, target_field)
     if spec.test_function_degree is None:
         return (0,) * len(dataset.shape)
     values = dataset.fields[target_field]
     return tuple(corner_half_width(values, ax, spec.test_function_degree, wrap)
-                 for ax, wrap in enumerate(_periodic_axes(dataset, target_field)))
+                 for ax, wrap in enumerate(periodic))
 
 
 def row_margins(dataset: Dataset, target_field: str,
@@ -345,13 +350,15 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                   half_widths: tuple[int, ...] | None = None) -> Library:
     """Evaluate the candidate terms and the time-derivative target at samples.
 
-    Grid-local rows take the space derivatives (`_space_derivatives`) and
-    the time target (`time_derivative`) at the samples. With a test function
+    Both row kinds evaluate every term and the time target (`time_derivative`)
+    once and pass each through a row map. Grid-local rows read the fields and
+    the space derivatives (`_space_derivatives`) at the samples, and their
+    row map is the identity. With a test function
     (spec.test_function_degree), `half_widths` defaults to
     `row_half_widths`, and every sample must lie `row_margins` away from the
     ends of each axis, as `subsample(..., margins=row_margins(...))` draws
-    them. Columns and the time target are then filtered one at a time on the
-    full grid.
+    them. The terms are then read on the full grid, and the row map filters
+    each column and the time target and gathers them at the samples.
     """
     if sample_set.shape != dataset.shape:
         raise DatasetError("sample set was drawn from a different grid")
@@ -360,14 +367,11 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
     terms = terms_for_spec(spec, names, dataset.ndim_space)
     needed = sorted({t.deriv for t in terms if t.deriv is not None})
     diagnostics = {}
-    matrix = np.empty((idx.size, len(terms)), order="F")
     if spec.test_function_degree is None:
-        powers = power_tables({f: dataset.fields[f].ravel()[idx] for f in names},
-                              power_degrees(terms))
-        sampled_derivs = _space_derivatives(dataset, needed, idx)
-        for j, t in enumerate(terms):
-            matrix[:, j] = t.evaluate(powers, sampled_derivs)
-        target = time_derivative(dataset, target_field, spec.time_accuracy, idx)
+        at = idx
+
+        def rows(column):
+            return column
     else:
         if half_widths is None:
             half_widths = row_half_widths(dataset, target_field, spec)
@@ -378,19 +382,22 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
                 raise DatasetError("a sample's test-function support leaves the grid")
         inner = tuple(c - m for c, m in zip(coords, margins))
         periodic = _periodic_axes(dataset, target_field)
+        at = None
 
         def rows(full):
             return bump_filter(full, half_widths, spec.test_function_degree,
                                periodic)[inner]
 
-        powers = power_tables({f: dataset.fields[f] for f in names}, power_degrees(terms))
-        derivs = _space_derivatives(dataset, needed)
-        for j, t in enumerate(terms):
-            matrix[:, j] = rows(t.evaluate(powers, derivs))
-        target = rows(time_derivative(dataset, target_field, spec.time_accuracy))
         diagnostics["test_function"] = {"degree": spec.test_function_degree,
                                         "half_widths": [int(m) for m in half_widths]}
 
+    powers = power_tables({f: dataset.fields[f] if at is None else dataset.fields[f].ravel()[at]
+                           for f in names}, power_degrees(terms))
+    derivs = _space_derivatives(dataset, needed, at)
+    matrix = np.empty((idx.size, len(terms)), order="F")
+    for j, t in enumerate(terms):
+        matrix[:, j] = rows(t.evaluate(powers, derivs))
+    target = rows(time_derivative(dataset, target_field, spec.time_accuracy, at))
     return Library(tuple(terms), matrix, target, sample_set, target_field, spec,
                    diagnostics)
 

@@ -657,10 +657,7 @@ BENCHMARKS = {
         boundary="dirichlet-homogeneous",
         equations=lambda eps: {"u": [(_flux(1), -1.0), (_deriv("u", 3), -eps)]},
         initial=_kdv_initial,
-        recipe={"library": {"poly_degree": 2, "deriv_order": 4},
-                "smooth": [{"axis": "t", "window": 31, "degree": 3},
-                           {"axis": "x", "window": 7, "degree": 3}],
-                "sample": {"n": None}}),
+        recipe={"library": {"poly_degree": 2, "deriv_order": 4, "test_function_degree": 4}}),
     # Viscous Burgers with a vanishing hyperviscosity term.
     "burgers-hyper": Benchmark(
         config=BenchmarkConfig("burgers-hyper", ((0.0, 32 * math.pi),), (4048,),

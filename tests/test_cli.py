@@ -297,8 +297,7 @@ class TestErrors:
         specs = [({"pruner": {"tua": 3}}, "'tua'"),
                  ({"library": {"methd": "spectral"}}, "'methd'"),
                  ({"independence_tol": 1e-10}, "'independence_tol'"),
-                 ({"smooth": [{"axis": "z", "window": 5, "degree": 2}]}, "'axis'"),
-                 ({"smooth": [{"axis": "t", "window": 5}]}, "'degree'"),
+                 ({"smooth": []}, "'smooth'"),
                  ({"sample": {"time_window": [5]}}, "'time_window'"),
                  ({"pruner": {"tau": "3"}}, "'tau'"),
                  ({"library": {"poly_degree": "2"}}, "'poly_degree'"),

@@ -7,9 +7,9 @@ import pytest
 from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSet,
                      TermDescriptor, add_noise, build_library, reduce_independent,
                      render_term, subsample)
-from bgsindy.benchmarks import (apply_smoothing, build_reduced_library, discovery_recipe,
-                                run_discovery, sweep_recipe)
-from bgsindy.differentiation import bump_filter, bump_kernel, sg_smooth
+from bgsindy.benchmarks import (build_reduced_library, discovery_recipe, run_discovery,
+                                sweep_recipe)
+from bgsindy.differentiation import bump_filter, bump_kernel
 from bgsindy import library as library_module
 from bgsindy.differentiation import spectral_diff
 from bgsindy.library import (_space_derivatives, row_half_widths, row_margins,
@@ -327,27 +327,9 @@ class TestRecipes:
             first["library"]["poly_degree"] = 9
             first["sample"]["seed"] = 7
             first["pruner"]["tau"] = 5.0
-            for p in first["smooth"]:
-                p["window"] = 3
-            first["smooth"].append({"axis": "t", "window": 5, "degree": 2})
             if first["sample"]["time_window"] is not None:
                 first["sample"]["time_window"][0] = 0
             assert discovery_recipe(bench) == expected
-
-
-    def test_smoothing_axis_must_be_one_of_the_data(self, rng):
-        axis, time_axis = Axis(0.0, 0.1, 16), Axis(0.0, 0.05, 12)
-        one_d = Dataset((axis,), time_axis, {"u": rng.standard_normal((16, 12))},
-                        {"u": "periodic"})
-        two_d = Dataset((axis, axis), time_axis, {"u": rng.standard_normal((16, 16, 12))},
-                        {"u": "periodic"})
-        for ds, letters in ((one_d, "xt"), (two_d, "xyt")):
-            for ax, letter in enumerate(letters):
-                smoothed = apply_smoothing(ds, "u", [{"axis": letter, "window": 5,
-                                                      "degree": 2}])
-                assert np.array_equal(smoothed.fields["u"], sg_smooth(ds.fields["u"], ax, 5, 2))
-        with pytest.raises(DatasetError, match="'axis'.*'y'"):
-            apply_smoothing(one_d, "u", [{"axis": "y", "window": 5, "degree": 2}])
 
 
 KDV_ROWS = LibrarySpec(poly_degree=2, deriv_order=4, test_function_degree=4)
