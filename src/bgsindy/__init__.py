@@ -19,7 +19,7 @@ from .core import (
     subsample,
 )
 from .differentiation import time_derivative
-from .library import Library, LibrarySpec, TermDescriptor, build_library, reduce_independent, render_term
+from .library import Library, LibrarySpec, TermDescriptor, build_library, reduce_independent
 from .regression import FitResult, least_squares
 from .pruner import PrunerConfig, discover, importance
 from .baselines import stlsq, train_stridge

@@ -2,9 +2,10 @@
 and train/validation sequential thresholded ridge regression. Every solve
 runs on a compression of the data: STLSQ reads the library's own
 (`Library.compressed`, shared with the pruner and with every other STLSQ
-fit of that library); TrainSTRidge compresses its training split once, and
-its held-out score stays a tall product. Each refits its final support, and
-scores its residual, on a compression of all the data."""
+fit of that library); TrainSTRidge compresses its training and held-out
+splits once each, and scores every candidate on the held-out factor. Each
+refits its final support, and scores its residual, on a compression of all
+the data."""
 
 from __future__ import annotations
 
@@ -82,14 +83,15 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
                   l0_penalty: float | None = None) -> DiscoveredModel:
     """Threshold search for STRidge scored on a held-out split.
 
-    The training rows are gathered straight into one QR buffer (`compress`
-    with `rows`), compressed once, and each solve runs on their R. The
-    score is the held-out squared misfit, a tall product, plus an l0 penalty
-    per active term (default 1e-3 times cond(R), the training matrix's). The
+    The training and held-out rows are each gathered straight into their own
+    QR buffer (`compress` with `rows`) and compressed once. Each solve runs
+    on the training R. The score is the held-out squared misfit, read from
+    the held-out factor (`_compressed_residual`), plus an l0 penalty per
+    active term (default 1e-3 times cond(R), the training matrix's). The
     winning support is refit by plain least squares on all data, solved on
-    the R of the training split's factor of [phi | y] stacked on the held-out
-    rows: that stack has the Gram matrix of all the data, and about 0.2 N
-    rows, so the whole library is not factored again.
+    the merge of the two factors of [phi | y]: its at most 2M + 2 rows have
+    the Gram matrix of all the data, so no N-row array is factored again
+    (the TSQR reduction; Demmel et al., SIAM J. Sci. Comput. 34, 2012).
     Thresholds act on raw coefficients, so terms whose true
     coefficients sit below the explored thresholds are discarded.
     """
@@ -105,7 +107,7 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
     n_train = int(round(split * n))
     train, test = perm[:n_train], perm[n_train:]
     r, qty, rho = compress(library.matrix, library.target, rows=train)
-    x_te, y_te = library.matrix[test], library.target[test]
+    r_te, qty_te, rho_te = compress(library.matrix, library.target, rows=test)
 
     if l0_penalty is None:
         l0_penalty = 1e-3 * float(np.linalg.cond(r))
@@ -114,8 +116,8 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
     tol = d_tol
 
     def score(w):
-        misfit = y_te - x_te @ w
-        return float(misfit @ misfit) + l0_penalty * int(np.count_nonzero(w))
+        return (_compressed_residual(r_te, qty_te, rho_te, w, 1)
+                + l0_penalty * int(np.count_nonzero(w)))
 
     w_best = _stridge(r, qty, lam, inner_iters, 0.0)
     err_best = score(w_best)
@@ -131,6 +133,7 @@ def train_stridge(library: Library, lam: float = 1e-5, split: float = 0.8,
             tol = tol + d_tol
 
     active = [j for j in range(library.n_terms) if w_best[j] != 0.0]
-    stacked = np.vstack([r, np.zeros((1, library.n_terms)), x_te])
+    zero = np.zeros((1, library.n_terms))
     return _model_from_active(library, active,
-                              compress(stacked, np.concatenate([qty, [rho], y_te])))
+                              compress(np.vstack([r, zero, r_te, zero]),
+                                       np.concatenate([qty, [rho], qty_te, [rho_te]])))

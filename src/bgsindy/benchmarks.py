@@ -34,6 +34,11 @@ class _SamplePlan:
     seed: int = 0
     time_window: tuple[int | None, int | None] | None = None
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DatasetError(f"sample entry 'seed' must be a non-negative integer, "
+                               f"got {self.seed!r}")
+
 
 def discovery_recipe(benchmark: str, target_field: str = "u") -> dict:
     """Default discovery settings per benchmark: one common recipe, with the

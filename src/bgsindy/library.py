@@ -55,7 +55,14 @@ class TermDescriptor:
 
     @property
     def name(self) -> str:
-        return render_term(self)
+        """Canonical display form, e.g. "u u_x", "u^2 u_{xxx}", "v_yy", "1"."""
+        parts = [f if p == 1 else f"{f}^{p}" for f, p in self.powers]
+        if self.deriv is not None:
+            f, orders = self.deriv
+            letters = "".join(AXIS_LETTERS[i] * o for i, o in enumerate(orders))
+            sub = letters if len(letters) < 3 else "{" + letters + "}"
+            parts.append(f"{f}_{sub}")
+        return " ".join(parts) if parts else "1"
 
     def evaluate(self, powers: dict, deriv_values: dict) -> np.ndarray:
         """Pointwise term value from per-field power tables (`power_tables`)
@@ -118,19 +125,6 @@ def power_degrees(terms) -> dict:
 def power_tables(fields: dict, degrees: dict) -> dict:
     """Per field, the power table up to its degree (`power_degrees`)."""
     return {f: power_table(v, degrees.get(f, 1)) for f, v in fields.items()}
-
-
-def render_term(term: TermDescriptor) -> str:
-    """Canonical display form, e.g. "u u_x", "u^2 u_{xxx}", "v_yy", "1"."""
-    parts = []
-    for f, p in term.powers:
-        parts.append(f if p == 1 else f"{f}^{p}")
-    if term.deriv is not None:
-        f, orders = term.deriv
-        letters = "".join(AXIS_LETTERS[i] * o for i, o in enumerate(orders))
-        sub = letters if len(letters) < 3 else "{" + letters + "}"
-        parts.append(f"{f}_{sub}")
-    return " ".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -205,9 +199,6 @@ class Library:
     @property
     def n_terms(self) -> int:
         return self.matrix.shape[1]
-
-    def term_names(self) -> list[str]:
-        return [t.name for t in self.terms]
 
 
 def terms_for_spec(spec: LibrarySpec, fields: list[str],
@@ -405,18 +396,25 @@ def build_library(dataset: Dataset, sample_set: SampleSet, spec: LibrarySpec,
 def reduce_independent(library: Library) -> Library:
     """Drop columns until a maximal numerically independent subset remains.
 
-    Pivoted-QR diagonals below INDEPENDENCE_TOL times the largest are treated
-    as dependent; the numerical rank is cross-checked against the SVD of the
-    full matrix.
+    The pivoted QR reads the columns scaled to unit norm (a zero column stays
+    zero), so the columns kept do not depend on the units of the data, as
+    the pruner's scores do not. Its diagonals below INDEPENDENCE_TOL times
+    the largest are treated as dependent. `svd_rank` cross-checks that rank
+    with the singular values of the raw matrix, so it may read lower when
+    the column scales span many decades.
     """
     import scipy.linalg  # loaded at the first factorization, not with the package
     if library.n_terms < 1:
         raise DatasetError("library has no columns")
+    # column norms without an N x M temporary
+    scale = np.sqrt(np.einsum("ij,ij->j", library.matrix, library.matrix))
+    scale[scale == 0] = 1.0
     # "raw" mode returns R as the top M x M block alone, not an N-row triu;
     # the N-row Householder factor it also returns is dropped at once. LAPACK
-    # factors one private column-major copy in place: without overwrite_a,
-    # scipy's workspace query and the factorization each copy the matrix
-    R, piv = scipy.linalg.qr(np.array(library.matrix, order="F"), overwrite_a=True,
+    # factors one private column-major copy, the scaled columns, in place:
+    # without overwrite_a, scipy's workspace query and the factorization
+    # each copy the matrix
+    R, piv = scipy.linalg.qr(np.divide(library.matrix, scale, order="F"), overwrite_a=True,
                              mode="raw", pivoting=True)[1:]
     diag = np.abs(np.diag(R))
     dmax = diag.max()

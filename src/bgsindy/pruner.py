@@ -84,7 +84,9 @@ def _row_weights(absphi: np.ndarray, colmax: np.ndarray, active, absxi: np.ndarr
             floor, next_read = rowmax.min(), 2 * next_read
     gmax = rowmax.max()
     epsilon = epsilon_rel * gmax if gmax > 0 else 1.0
-    if not epsilon * np.finfo(np.float64).max > 1.0:     # 1 / eps must be finite
+    # 1 / eps must be finite; 1 / max is 2^-1024 exactly, whose reciprocal
+    # overflows, and the next double's does not
+    if not epsilon > 1.0 / np.finfo(np.float64).max:
         raise DatasetError("the stabilizer epsilon_rel * max|phi_ij xi_j| underflows")
     rowmax += epsilon
     return np.divide(1.0, rowmax, out=rowmax)

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from bgsindy import DatasetError, baselines, discover, least_squares, stlsq, train_stridge
 from bgsindy.baselines import _ridge, _stridge
-from bgsindy.regression import compress
+from bgsindy.regression import _compressed_residual, compress
 from tests.test_pruner import synthetic_library
 
 
@@ -69,9 +69,9 @@ class TestTrainStridge:
             train_stridge(lib, split=1.5)
 
     def test_peak_memory_below_one_and_a_half_libraries(self):
-        # the training rows are gathered straight into the QR buffer (0.8 N x
-        # (M + 1)), so no copy of the training split sits beside it; the
-        # held-out rows add 0.2 N x M
+        # each split is gathered straight into its own QR buffer (0.8 N and
+        # 0.2 N rows of M + 1 columns), one after the other, so no copy of a
+        # split sits beside it
         lib, _ = synthetic_library(n=200_000, m=10, k_true=3, noise=1e-4, seed=6)
         tracemalloc.start()
         try:
@@ -204,8 +204,8 @@ class TestOneCompressionPerLibrary:
         assert tall == [(lib.n_samples, lib.n_terms + 1)]
 
     def test_train_stridge_factors_no_n_row_matrix(self, monkeypatch):
-        # the final refit stacks the training split's factor of [phi | y] on
-        # the held-out rows, and leaves the library's own compression untaken
+        # each split is factored once; the final refit merges the two
+        # factors of [phi | y], and leaves the library's own compression untaken
         lib, _ = synthetic_library(n=3000, m=8, k_true=3, noise=1e-4, seed=4)
         rows = []
         qr = scipy.linalg.qr
@@ -216,6 +216,32 @@ class TestOneCompressionPerLibrary:
         monkeypatch.setattr(scipy.linalg, "qr", counted)
         model = train_stridge(lib, seed=0)
         n_train = round(0.8 * lib.n_samples)
-        assert rows == [n_train, lib.n_samples - n_train + lib.n_terms + 1]
+        assert rows == [n_train, lib.n_samples - n_train, 2 * lib.n_terms + 2]
         assert "compressed" not in vars(lib)
         assert_refit_of_its_support(lib, model)
+
+    def test_held_out_split_of_at_most_m_rows(self, monkeypatch):
+        # N = 12, M = 8: the 2 held-out rows factor to a 2 x M R with rho 0;
+        # the score read from that factor, and the final refit on the merged
+        # factors, match the tall held-out misfit and the tall refit
+        lib, _ = synthetic_library(n=12, m=8, k_true=3, noise=1e-3, seed=3)
+        calls = []
+        compress_rows = baselines.compress
+
+        def recorded(phi, y, rows=None):
+            calls.append((rows, compress_rows(phi, y, rows)))
+            return calls[-1][1]
+        monkeypatch.setattr(baselines, "compress", recorded)
+        model = train_stridge(lib, seed=0)
+        test, (r_te, qty_te, rho_te) = calls[1]
+        assert r_te.shape == (test.size, lib.n_terms) == (2, 8) and rho_te == 0.0
+        x_te, y_te = lib.matrix[test], lib.target[test]
+        for w in np.random.default_rng(1).standard_normal((5, lib.n_terms)):
+            misfit = y_te - x_te @ w
+            tall = misfit @ misfit
+            assert abs(_compressed_residual(r_te, qty_te, rho_te, w, 1) - tall) <= 1e-12 * tall
+        cols = [lib.terms.index(t) for t in model.terms]
+        assert cols
+        fit = least_squares(lib.matrix[:, cols], lib.target)
+        assert np.allclose(model.coefficients, fit.coefficients, rtol=1e-12, atol=0)
+        assert abs(model.residual - fit.residual) <= 1e-12 * fit.residual

@@ -299,6 +299,7 @@ class TestErrors:
                  ({"independence_tol": 1e-10}, "'independence_tol'"),
                  ({"smooth": []}, "'smooth'"),
                  ({"sample": {"time_window": [5]}}, "'time_window'"),
+                 ({"sample": {"seed": -1}}, "'seed'"),
                  ({"pruner": {"tau": "3"}}, "'tau'"),
                  ({"library": {"poly_degree": "2"}}, "'poly_degree'"),
                  ({"smooth": 5}, "smooth"),

@@ -6,7 +6,7 @@ import pytest
 
 from bgsindy import (Axis, Dataset, DatasetError, Library, LibrarySpec, SampleSet,
                      TermDescriptor, add_noise, build_library, reduce_independent,
-                     render_term, subsample)
+                     subsample)
 from bgsindy.benchmarks import (build_reduced_library, discovery_recipe, run_discovery,
                                 sweep_recipe)
 from bgsindy.differentiation import bump_filter, bump_kernel
@@ -43,12 +43,12 @@ def random_library(n=200, m=6, seed=0, term_names=None):
 
 class TestTermDescriptor:
     def test_render_examples(self):
-        assert render_term(TermDescriptor((("u", 1),), ("u", (1,)))) == "u u_x"
-        assert render_term(TermDescriptor((("v", 3),))) == "v^3"
-        assert render_term(TermDescriptor((("u", 5),), ("u", (1,)))) == "u^5 u_x"
-        assert render_term(TermDescriptor((("u", 2),), ("u", (3,)))) == "u^2 u_{xxx}"
-        assert render_term(TermDescriptor((), ("v", (0, 2)))) == "v_yy"
-        assert render_term(TermDescriptor()) == "1"
+        assert TermDescriptor((("u", 1),), ("u", (1,))).name == "u u_x"
+        assert TermDescriptor((("v", 3),)).name == "v^3"
+        assert TermDescriptor((("u", 5),), ("u", (1,))).name == "u^5 u_x"
+        assert TermDescriptor((("u", 2),), ("u", (3,))).name == "u^2 u_{xxx}"
+        assert TermDescriptor((), ("v", (0, 2))).name == "v_yy"
+        assert TermDescriptor().name == "1"
 
     def test_ordering_total_and_stable(self):
         terms = terms_for_spec(LibrarySpec(poly_degree=2, deriv_order=4), ["u"], 1)
@@ -86,7 +86,7 @@ class TestBuildLibrary:
         s = subsample(ds, 500)
         lib = build_library(ds, s, LibrarySpec(poly_degree=3, deriv_order=2), "u")
         assert lib.n_terms == 20
-        names = lib.term_names()
+        names = [t.name for t in lib.terms]
         assert names.count("u_xy") == 1 and names.count("v_yy") == 1
         assert "1" in names
 
@@ -417,9 +417,11 @@ class TestReduceIndependent:
         assert red.diagnostics["independence"]["qr_rank"] == 4
 
     def test_constructed_dependency_rank(self):
-        # oracle: appending c = a + b must reduce the numerical rank to M; the
-        # builder's column-major matrix and a row-major copy give the same
-        # ranks, dropped term and reduced matrix, which is column-major
+        # oracle: appending c = a + b must reduce the numerical rank to M; any
+        # one of a, b, c is a valid drop, and on unit-norm columns the pivoted
+        # QR drops c; the builder's column-major matrix and a row-major
+        # copy give the same ranks, dropped term and reduced matrix, which is
+        # column-major
         lib = random_library(m=5)
         extra = lib.matrix[:, 0] + lib.matrix[:, 1]
         matrix = np.column_stack([lib.matrix, extra])
@@ -433,7 +435,7 @@ class TestReduceIndependent:
             assert red.n_terms == 5
             assert red.matrix.flags.f_contiguous
             assert red.diagnostics["independence"] == {
-                "tol": 1e-10, "qr_rank": 5, "svd_rank": 5, "dropped": ["u^2"]}
+                "tol": 1e-10, "qr_rank": 5, "svd_rank": 5, "dropped": ["u^9"]}
         assert np.array_equal(reduced[0].matrix, reduced[1].matrix)
 
     def test_full_rank_identity(self):
@@ -463,6 +465,16 @@ class TestReduceIndependent:
         twice = reduce_independent(once)
         assert once.terms == twice.terms
         assert np.array_equal(once.matrix, twice.matrix)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e-2])
+    def test_kept_columns_do_not_depend_on_the_units_of_u(self, kdv_dataset, scale):
+        # KdV in other units of u: every column of the 15 stays, and the
+        # discovered structure is still the exact one
+        data = replace(kdv_dataset, fields={"u": kdv_dataset.fields["u"] * scale})
+        model, _, lib = run_discovery(data, discovery_recipe("kdv"))
+        assert lib.n_terms == 15
+        assert lib.diagnostics["independence"]["dropped"] == []
+        assert {t.name for t in model.terms} == {"u u_x", "u_{xxx}"}
 
     def test_degenerate_all_zero(self):
         lib = random_library(m=3)

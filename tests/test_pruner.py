@@ -79,6 +79,20 @@ class TestImportance:
         with pytest.raises(DatasetError, match="underflows"):
             importance(phi, np.ones(3))
 
+    def test_stabilizer_check_at_the_reciprocal_boundary(self):
+        # max|phi_ij xi_j| = 1, so eps = epsilon_rel: 1 / 2^-1024 overflows,
+        # the reciprocal of the next double up is finite
+        phi = np.array([[1.0, 0.5], [0.25, 1.0]])
+        with pytest.raises(DatasetError, match="underflows"):
+            importance(phi, np.ones(2), epsilon_rel=np.ldexp(1.0, -1024))
+        w, W = importance(phi, np.ones(2),
+                          epsilon_rel=np.nextafter(np.ldexp(1.0, -1024), 1.0))
+        assert np.isfinite(w).all() and np.isfinite(W).all()
+        # eps = 1e-6 * 3e6 > 1 is checked without an overflow (warnings are
+        # errors in this suite)
+        w, _ = importance(np.array([[2e6, 1.0], [1.0, 3e6]]), np.ones(2), epsilon_rel=1e-6)
+        assert np.isclose(w[1, 1], 3e6 / (3e6 + 3.0))
+
 
 def full_scan_row_weights(absphi, active, absxi, epsilon_rel):
     """The row weights from a running maximum over every active term, in
